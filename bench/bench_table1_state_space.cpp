@@ -1,7 +1,7 @@
-// Regenerates the paper's section 6 results table (experiments E8-E12 in
-// DESIGN.md): for each of the five machine rows, the number of crash faults
-// f, the size of the top, the generated backup machine sizes, and the
-// backup state space of replication versus fusion.
+// Regenerates the paper's section 6 results table: for each of the five
+// machine rows, the number of crash faults f, the size of the top, the
+// generated backup machine sizes, and the backup state space of
+// replication versus fusion.
 //
 // Absolute |top| values differ from the paper's (their event-alphabet
 // overlaps are unspecified; see EXPERIMENTS.md), but the shape — fusion

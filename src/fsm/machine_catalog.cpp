@@ -240,7 +240,7 @@ Dfsm make_tcp(const std::shared_ptr<Alphabet>& alphabet, std::string name) {
 // 4-state top of Fig. 3 with
 //   t0 = {a0,b0}, t1 = {a1,b1}, t2 = {a2,b2}, t3 = {a0,b2}
 // and closed partitions A = {t0,t3}{t1}{t2}, B = {t0}{t1}{t2,t3} exactly as
-// quoted throughout sections 2-5 of the paper (see DESIGN.md section 2).
+// quoted throughout sections 2-5 of the paper.
 Dfsm make_paper_machine_a(const std::shared_ptr<Alphabet>& alphabet,
                           std::string name) {
   DfsmBuilder b(std::move(name), alphabet);

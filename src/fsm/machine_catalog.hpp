@@ -6,7 +6,7 @@
 //              F1 = (n0+n1) mod 3, F2 = (n0-n1) mod 3;
 //  * Fig. 2  — the canonical 3-state machines A and B whose reachable cross
 //              product is the 4-state top of Fig. 3 (reconstruction documented
-//              in DESIGN.md section 2);
+//              at make_paper_machine_a in machine_catalog.cpp);
 //  * section 6 table — MESI, TCP (RFC 793, 11 states), 0/1-counters, parity
 //              checkers, toggle switch, pattern detector, shift register,
 //              divisibility divider.

@@ -83,9 +83,9 @@ std::vector<std::size_t> rank_viable(
 /// Accounting preserves the serial engine's invariants: a consumed
 /// prefetch counts exactly what the inline lookup it replaced would have
 /// counted (a cover_cache_hit, or closures_evaluated for a computed
-/// cover) plus one speculation_hit; abandoned prefetches count only
-/// speculation_wasted_closures. A warm-cache run therefore still reports
-/// closures_evaluated == 0.
+/// cover, and the cache's own hit or miss) plus one speculation_hit;
+/// abandoned prefetches count only speculation_wasted_closures. A
+/// warm-cache run therefore still reports closures_evaluated == 0.
 class SpeculationEngine {
  public:
   using Cover = LowerCoverCache::Cover;
@@ -125,7 +125,8 @@ class SpeculationEngine {
   /// The lower cover of p: joins p's in-flight prefetch when there is one
   /// (claiming it inline if no worker got to it — progress never depends
   /// on pool capacity), otherwise looks it up / computes it inline.
-  std::shared_ptr<const Cover> consume(const Partition& p) {
+  /// `from_cache` reports whether the cover was served from the cache.
+  std::shared_ptr<const Cover> consume(const Partition& p, bool& from_cache) {
     const auto it = inflight_.find(p);
     if (it != inflight_.end()) {
       Prefetch& slot = *it->second;
@@ -139,17 +140,19 @@ class SpeculationEngine {
         obs->record("gen.speculation_join", obs->now_us() - join_start);
       if (finished && slot.cover != nullptr) {
         ++stats_.speculation_hits;
-        if (slot.from_cache)
+        from_cache = slot.from_cache;
+        if (from_cache)
           ++stats_.cover_cache_hits;
         else
           stats_.closures_evaluated += slot.closures;
+        if (cover_options_.cache != nullptr)
+          cover_options_.cache->count_lookup(p, from_cache);
         auto cover = std::move(slot.cover);
         inflight_.erase(it);
         return cover;
       }
       inflight_.erase(it);
     }
-    bool from_cache = false;
     const std::uint32_t blocks = p.block_count();
     auto cover = lower_cover_cached(top_, p, cover_options_, &from_cache);
     if (from_cache)
@@ -246,11 +249,13 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
     }
   } join_maintenance{&maintenance};
 
+  std::uint32_t expected_dmin = 0;  // after the in-flight maintenance
   while (true) {
     // The pipelined maintenance task must land before any graph read.
     if (maintenance.valid()) {
       maintenance.join();
       maintenance = TaskHandle{};
+      FFSM_ASSERT(graph.dmin() == expected_dmin);
     }
     if (graph.dmin() == FaultGraph::kInfinity || graph.dmin() > options.f)
       break;
@@ -260,9 +265,19 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
 
     Partition current = identity;
     std::shared_ptr<const SpeculationEngine::Cover> identity_cover;
+    std::uint32_t identity_prefetches = 0;
     while (true) {
-      auto cover = spec.consume(current);
-      if (identity_cover == nullptr) identity_cover = cover;
+      bool from_cache = false;
+      auto cover = spec.consume(current, from_cache);
+      // Runners-up are speculated on only off a cover this descent
+      // computed: a cached cover was computed by an earlier descent, which
+      // already speculated on the same runners-up.
+      const std::uint32_t prefetches =
+          from_cache ? std::min<std::uint32_t>(lookahead, 1) : lookahead;
+      if (identity_cover == nullptr) {
+        identity_cover = cover;
+        identity_prefetches = prefetches;
+      }
       result.stats.candidates_examined += cover->size();
       std::vector<const Partition*> viable;
       for (const Partition& c : *cover)
@@ -273,7 +288,7 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
       // Prefetch the committed branch's next level (always consumed on the
       // next loop turn) and the best runners-up (cache fodder for
       // reconverging descents).
-      for (std::size_t r = 0; r < ranked.size() && r < lookahead; ++r)
+      for (std::size_t r = 0; r < ranked.size() && r < prefetches; ++r)
         spec.launch(*viable[ranked[r]]);
       current = *viable[ranked[0]];
       ++result.stats.descent_steps;
@@ -284,9 +299,12 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
     const Partition& added = result.partitions.back();
 
     // Copy the weakest set before the maintenance task invalidates the
-    // graph's memo; the prediction below filters against it.
+    // graph's memo; the prediction below filters against it. `added`
+    // separates every weakest edge and no edge gains more than one, so
+    // dmin grows by exactly one.
     const std::vector<std::pair<std::uint32_t, std::uint32_t>> old_weakest =
         weakest;
+    expected_dmin = graph.dmin() + 1;
     maintenance = pool.submit([&graph, &added] {
       graph.add_machine(added);
       // Finish every mutable write (delta + lazy rescan) inside the task;
@@ -295,8 +313,9 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
     });
 
     // Overlap with the maintenance task: warm the next iteration's descent
-    // entry, and predict its first step against the old weakest set.
-    if (lookahead > 0) {
+    // entry, and predict its first step against the old weakest set —
+    // unless that iteration will not run.
+    if (lookahead > 0 && expected_dmin <= options.f) {
       spec.launch(identity);
       if (identity_cover != nullptr) {
         std::vector<const Partition*> viable;
@@ -305,7 +324,9 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
         if (!viable.empty()) {
           const std::vector<std::size_t> ranked =
               rank_viable(viable, options.policy);
-          for (std::size_t r = 0; r < ranked.size() && r < lookahead; ++r)
+          const std::size_t predicted =
+              std::min<std::size_t>(ranked.size(), identity_prefetches);
+          for (std::size_t r = 0; r < predicted; ++r)
             spec.launch(*viable[ranked[r]]);
         }
       }
@@ -475,8 +496,8 @@ std::vector<FusionResult> generate_fusion_batch(
       GenerateOptions per_request;
       per_request.f = requests[i].f;
       per_request.policy = requests[i].policy;
-      // Inner loops stay parallel-capable; when this request is already
-      // running on a pool worker they degrade to inline execution.
+      // Inner loops stay parallel-capable: their fan-outs run on whatever
+      // pool workers are idle.
       per_request.parallel = options.parallel;
       per_request.pool = options.pool;
       per_request.incremental = options.incremental;

@@ -167,7 +167,7 @@ struct FusionRequest {
 };
 
 struct BatchOptions {
-  /// Fan requests across the pool (inner loops run inline on the worker).
+  /// Fan requests across the pool (inner loops fan out to idle workers).
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Incremental per-request engine (see GenerateOptions::incremental).

@@ -106,7 +106,8 @@ std::size_t LowerCoverCache::entry_bytes(const Partition& key,
 }
 
 std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::find(
-    const Partition& p) const {
+    const Partition& p, Lookup lookup) const {
+  const bool demand = lookup == Lookup::kDemand;
   {
     const std::shared_lock lock(mutex_);
     // Every lookup (hit or miss) feeds the admission sketch: frequency has
@@ -115,7 +116,7 @@ std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::find(
     if (sketch_) sketch_->increment(p.hash());
     const auto it = map_.find(p);
     if (it != map_.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      if (demand) hits_.fetch_add(1, std::memory_order_relaxed);
       // Recency bump, kLru/kLfuAdmit only: kEpoch/kUnbounded never read
       // last_used, and skipping the shared clock_ RMW keeps their hit path
       // free of cross-thread cache-line traffic. A relaxed store suffices —
@@ -128,14 +129,27 @@ std::shared_ptr<const LowerCoverCache::Cover> LowerCoverCache::find(
             std::memory_order_relaxed);
       return it->second->cover;
     }
-    // Classify the miss while still holding the lock: a key evicted
-    // earlier re-missing is eviction pressure, not a cold workload.
-    if (evicted_hashes_.contains(p.hash()))
-      eviction_misses_.fetch_add(1, std::memory_order_relaxed);
-    else
-      cold_misses_.fetch_add(1, std::memory_order_relaxed);
+    if (demand) count_miss_locked(p);
   }
   return nullptr;
+}
+
+void LowerCoverCache::count_lookup(const Partition& p, bool hit) const {
+  if (hit) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  const std::shared_lock lock(mutex_);
+  count_miss_locked(p);
+}
+
+void LowerCoverCache::count_miss_locked(const Partition& p) const {
+  // A key evicted earlier re-missing is eviction pressure, not a cold
+  // workload.
+  if (evicted_hashes_.contains(p.hash()))
+    eviction_misses_.fetch_add(1, std::memory_order_relaxed);
+  else
+    cold_misses_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void LowerCoverCache::record_eviction_locked(const Partition& key) {
@@ -619,7 +633,8 @@ std::uint64_t prefetch_lower_cover(
   if (cover != nullptr) *cover = nullptr;
   if (options.cache != nullptr) {
     const std::uint64_t find_start = timed ? obs->now_us() : 0;
-    auto cached = options.cache->find(p);
+    auto cached =
+        options.cache->find(p, LowerCoverCache::Lookup::kSpeculative);
     if (timed) obs->record("cache.get", obs->now_us() - find_start);
     if (cached) {
       if (from_cache != nullptr) *from_cache = true;

@@ -147,8 +147,19 @@ class LowerCoverCache {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
+  /// How find() books a lookup. A demand lookup counts as a hit or a miss;
+  /// a speculative one (a prefetch the descent may never consume) counts as
+  /// neither, and its consumer books it with count_lookup().
+  enum class Lookup { kDemand, kSpeculative };
+
   /// Cached cover for `p`, or nullptr on miss.
-  [[nodiscard]] std::shared_ptr<const Cover> find(const Partition& p) const;
+  [[nodiscard]] std::shared_ptr<const Cover> find(
+      const Partition& p, Lookup lookup = Lookup::kDemand) const;
+
+  /// Books one demand lookup of `p` as a hit or a miss without looking it
+  /// up: the descent consumed a speculative lookup's result (`hit` is
+  /// whether that lookup found `p` cached).
+  void count_lookup(const Partition& p, bool hit) const;
 
   /// Inserts (first writer wins) and returns the cached value, evicting
   /// per the configured policy first when the table is at capacity.
@@ -237,6 +248,9 @@ class LowerCoverCache {
 
   /// Payload estimate for one (key, cover) pair.
   static std::size_t entry_bytes(const Partition& key, const Cover& cover);
+
+  /// Counts a miss on `p` as cold or eviction; requires lock held.
+  void count_miss_locked(const Partition& p) const;
 
   /// Evicts per policy until an insert fits; requires unique lock held.
   void make_room_locked();
@@ -329,7 +343,9 @@ struct LowerCoverOptions {
     const LowerCoverOptions& options = {}, bool* from_cache = nullptr);
 
 /// Speculative (cancellable) variant for prefetch tasks. Consults the
-/// cache, then — unless `token` was cancelled first — computes the cover.
+/// cache with a speculative lookup (booked by the consumer, if any, through
+/// LowerCoverCache::count_lookup), then — unless `token` was cancelled
+/// first — computes the cover.
 /// Cancellation gates *publication only*: a cover computed despite a late
 /// cancel is still handed back through `cover` (the joiner may use it),
 /// but it is never inserted into options.cache — the token is re-checked

@@ -49,8 +49,8 @@ struct FusionClusterOptions {
   /// Number of shards (must be >= 1). Tops hash onto shards; several tops
   /// can share a shard (and with it a backend / worker process).
   std::size_t shards = 4;
-  /// Drain shards in parallel on the pool (each shard's inner batch
-  /// composes via ThreadPool re-entrancy).
+  /// Drain shards in parallel on the pool (each shard's nested fan-outs
+  /// run on whatever pool workers are idle).
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Per-request engine mode (see GenerateOptions::incremental).

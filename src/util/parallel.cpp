@@ -7,53 +7,6 @@
 
 namespace ffsm {
 
-// A batch is one run_chunks invocation. Lifetime protocol: the batch lives
-// on the caller's stack; workers may only load the batch pointer under the
-// pool mutex while batch_ still points at it, and they announce themselves
-// via active_workers_ before releasing the mutex. The caller retires the
-// batch (batch_ = nullptr) only after every attached worker detached, so no
-// worker can touch a dead batch.
-struct ThreadPool::Batch {
-  std::size_t chunks = 0;
-  std::atomic<std::size_t> next{0};
-  const std::function<void(std::size_t)>* fn = nullptr;
-};
-
-namespace {
-
-// Stack of pools whose batches the calling thread is currently executing
-// (outermost first). A linked list of stack nodes rather than a single
-// pointer: same-thread re-entrancy must be detected across pools too
-// (A -> B -> A on one thread), or the innermost call would fan out and
-// deadlock on A's submission lock, which A's original submitter holds while
-// waiting for this very worker. Note the stack is per-thread by design —
-// chains that hop through *another pool's workers* (A's worker submits to
-// B, B's worker submits back to A) are not detectable this way and are
-// unsupported; see the header.
-struct PoolScopeNode {
-  const ThreadPool* pool;
-  PoolScopeNode* prev;
-};
-
-thread_local PoolScopeNode* tl_pool_stack = nullptr;
-
-struct CurrentPoolScope {
-  explicit CurrentPoolScope(const ThreadPool* pool)
-      : node{pool, tl_pool_stack} {
-    tl_pool_stack = &node;
-  }
-  ~CurrentPoolScope() { tl_pool_stack = node.prev; }
-  PoolScopeNode node;
-};
-
-}  // namespace
-
-bool ThreadPool::on_this_pool() const noexcept {
-  for (const PoolScopeNode* n = tl_pool_stack; n != nullptr; n = n->prev)
-    if (n->pool == this) return true;
-  return false;
-}
-
 // One submitted task. Claiming (Pending -> Running or Pending -> Cancelled)
 // happens under `mutex`, so exactly one of {a pool worker, a joining
 // thread, a canceller} retires each task; the pending deque only carries
@@ -66,13 +19,10 @@ struct TaskHandle::State {
   Status status = Status::kPending;  // guarded by mutex
   std::function<void()> fn;          // released on claim/cancel
   CancellationToken token;
-  const ThreadPool* pool = nullptr;  // for CurrentPoolScope on inline runs
 
   /// Claims a pending task and runs it on the calling thread; a no-op when
   /// some other thread already claimed it. A task whose token was
-  /// cancelled before the claim retires as Cancelled without running. The
-  /// body runs under the owning pool's scope so nested run_chunks calls
-  /// execute inline (the pool's workers may all be busy or nonexistent).
+  /// cancelled before the claim retires as Cancelled without running.
   void claim_and_run() {
     std::function<void()> body;
     {
@@ -99,7 +49,6 @@ struct TaskHandle::State {
         state->done_cv.notify_all();
       }
     } mark{this};
-    const CurrentPoolScope scope(pool);
     body();
   }
 
@@ -158,7 +107,6 @@ TaskHandle ThreadPool::submit(std::function<void()> fn,
   auto state = std::make_shared<TaskHandle::State>();
   state->fn = std::move(fn);
   state->token = std::move(token);
-  state->pool = this;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     FFSM_EXPECTS(!stopping_);
@@ -173,7 +121,7 @@ ThreadPool::ThreadPool(std::size_t threads) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw == 0 ? 1 : hw;
   }
-  // The calling thread participates in every batch, so spawn one fewer
+  // The calling thread participates in every fan-out, so spawn one fewer
   // worker than the requested parallelism.
   workers_.reserve(threads > 0 ? threads - 1 : 0);
   for (std::size_t i = 1; i < threads; ++i)
@@ -195,37 +143,10 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  std::uint64_t seen_generation = 0;
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    work_ready_.wait(lock, [this, seen_generation] {
-      return stopping_ || !tasks_.empty() ||
-             (batch_ != nullptr && generation_ != seen_generation);
-    });
+    work_ready_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
     if (stopping_) return;
-
-    // Batches keep priority over submitted tasks; tasks fill the gaps.
-    if (batch_ != nullptr && generation_ != seen_generation) {
-      Batch* const batch = batch_;
-      seen_generation = generation_;
-      ++active_workers_;
-      lock.unlock();
-
-      {
-        const CurrentPoolScope scope(this);
-        while (true) {
-          const std::size_t i =
-              batch->next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= batch->chunks) break;
-          (*batch->fn)(i);
-        }
-      }
-
-      lock.lock();
-      if (--active_workers_ == 0) batch_done_.notify_all();
-      continue;
-    }
-
     const std::shared_ptr<TaskHandle::State> task = std::move(tasks_.front());
     tasks_.pop_front();
     lock.unlock();
@@ -240,52 +161,57 @@ void ThreadPool::run_chunks(std::size_t chunks,
                             const std::function<void(std::size_t)>& fn) {
   FFSM_EXPECTS(fn != nullptr);
   if (chunks == 0) return;
-  // Nested call from a task already running on this pool: the pool's
-  // workers are busy with the enclosing batch, so fan-out would deadlock.
-  // Run inline on the calling thread instead.
-  if (workers_.empty() || chunks == 1 || on_this_pool()) {
+  if (workers_.empty() || chunks == 1) {
     for (std::size_t i = 0; i < chunks; ++i) fn(i);
     return;
   }
 
-  // One external batch at a time; concurrent submitters queue here.
-  const std::lock_guard<std::mutex> submit_lock(submit_mutex_);
+  // Helpers and the caller claim chunk indices from one counter, so each
+  // chunk runs exactly once whoever gets to it.
+  struct Chunks {
+    const std::function<void(std::size_t)>& fn;
+    std::size_t count;
+    std::atomic<std::size_t> next{0};
+    void claim() {
+      while (true) {
+        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+        if (i >= count) return;
+        fn(i);
+      }
+    }
+  } work{fn, chunks};
 
-  Batch batch;
-  batch.chunks = chunks;
-  batch.fn = &fn;
+  // Every helper is joined on every exit path, including unwind: helpers
+  // reference this frame. On unwind the counter is exhausted first, so
+  // running helpers stop after their current chunk and pending ones,
+  // claimed inline by join(), find nothing to run.
+  std::vector<TaskHandle> helpers;
+  struct JoinHelpers {
+    Chunks& work;
+    std::vector<TaskHandle>& helpers;
+    ~JoinHelpers() {
+      work.next.store(work.count, std::memory_order_relaxed);
+      for (TaskHandle& helper : helpers) (void)helper.join();
+    }
+  } join_helpers{work, helpers};
+
+  // Helpers enter at the front of the queue: they outrank submitted
+  // (speculative) tasks, and the most deeply nested fan-out goes first.
+  const std::size_t count = std::min(chunks - 1, workers_.size());
+  helpers.reserve(count);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    FFSM_ASSERT(batch_ == nullptr);  // guaranteed by submit_mutex_
-    batch_ = &batch;
-    ++generation_;
-  }
-  work_ready_.notify_all();
-
-  // Retire the batch on every exit path, including unwind: if fn throws in
-  // the caller's participation loop below, workers may still be claiming
-  // chunks from the stack-allocated Batch — it must stay published until
-  // every attached worker detached, or they read freed stack memory.
-  struct Retire {
-    ThreadPool* pool;
-    ~Retire() {
-      std::unique_lock<std::mutex> lock(pool->mutex_);
-      pool->batch_done_.wait(lock,
-                             [this] { return pool->active_workers_ == 0; });
-      pool->batch_ = nullptr;
-    }
-  } retire{this};
-
-  // The caller participates too; when this loop exits every chunk has been
-  // claimed (not necessarily finished — workers may still be running).
-  {
-    const CurrentPoolScope scope(this);
-    while (true) {
-      const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= batch.chunks) break;
-      fn(i);
+    FFSM_EXPECTS(!stopping_);
+    for (std::size_t h = 0; h < count; ++h) {
+      auto state = std::make_shared<TaskHandle::State>();
+      state->fn = [&work] { work.claim(); };
+      tasks_.push_front(state);
+      helpers.push_back(TaskHandle{std::move(state)});
     }
   }
+  for (std::size_t h = 0; h < count; ++h) work_ready_.notify_one();
+
+  work.claim();
 }
 
 ThreadPool& ThreadPool::global() {

@@ -5,28 +5,25 @@
 // independent iterations. This header provides a reusable fixed-size thread
 // pool and a blocking `parallel_for` over an index range with static chunking.
 //
-// Design notes (see DESIGN.md section 6):
+// Design notes (README.md, "Parallel generation engine"):
 //  * ISO C++ threads only (no OpenMP dependency), per the Core Guidelines'
-//    preference for standard facilities; the pool is created lazily and reused
-//    so per-call overhead is two condition-variable round trips.
+//    preference for standard facilities; the pool is created lazily and
+//    reused.
+//  * One mechanism: every unit of pool work is a task. A fan-out publishes
+//    helper tasks that claim chunk indices from a shared counter while the
+//    caller claims from the same counter, then joins the helpers (a helper
+//    no worker picked up is claimed inline and finds nothing left). So a
+//    parallel_for nested inside pool work runs on whatever workers are idle,
+//    concurrent callers interleave, and progress never depends on a free
+//    worker — at any nesting depth and across pools.
 //  * Results must be accumulated deterministically: use per-index output
 //    slots or per-chunk partials merged in index order, never unordered
 //    atomics, so that runs are reproducible regardless of thread count.
-//  * Nested parallelism on one pool degrades gracefully: a parallel_for
-//    issued from inside a task already running on that pool (at any
-//    nesting depth on the calling thread, even through another pool's
-//    batch) executes inline instead of deadlocking, so outer fan-outs
-//    (e.g. generate_fusion_batch over requests) compose with the inner
-//    parallel hot loops without configuration. What is NOT supported is a
-//    cycle through two pools' *workers* — pool A's worker submitting to
-//    pool B whose worker submits back to A blocks on A's submission lock.
-//    Use one pool per independent operation (the library does).
 #pragma once
 
 #include <condition_variable>
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -114,25 +111,20 @@ class ThreadPool {
   /// Runs fn(chunk_index) for chunk_index in [0, chunks) across the pool and
   /// blocks until all chunks completed. The calling thread participates.
   ///
-  /// Safe to call concurrently from multiple external threads (batches are
-  /// serialized on an internal submission lock) and safe to call from inside
-  /// a task running on this pool (the nested batch runs inline on the
-  /// calling worker).
+  /// Publishes up to min(chunks - 1, thread_count()) helper tasks ahead of
+  /// every submitted task, so idle workers join in; safe to call from any
+  /// thread, concurrently, and from inside tasks of this or another pool.
+  /// When fn throws on the calling thread, no further chunk is handed out,
+  /// every helper is joined, and the exception propagates.
   void run_chunks(std::size_t chunks,
                   const std::function<void(std::size_t)>& fn);
 
-  /// True when the calling thread is executing a task on this pool anywhere
-  /// in its nesting stack (worker or participating submitter, even through
-  /// an intervening batch on another pool). Nested run_chunks calls from
-  /// such a thread execute inline.
-  [[nodiscard]] bool on_this_pool() const noexcept;
-
-  /// Enqueues one independent task; workers pick tasks up between batches
-  /// (batches keep priority — tasks are the speculative/background tier).
-  /// The token is polled before the body starts: a task cancelled while
-  /// still queued is retired unrun. Tasks must not throw (same policy as
-  /// run_chunks bodies: an escaped exception on a worker terminates; one
-  /// escaping an inline join() propagates to the joiner).
+  /// Enqueues one independent task behind every fan-out helper (submitted
+  /// tasks are the speculative/background tier). The token is polled
+  /// before the body starts: a task cancelled while still queued is retired
+  /// unrun. Tasks must not throw (same policy as run_chunks bodies: an
+  /// escaped exception on a worker terminates; one escaping an inline
+  /// join() propagates to the joiner).
   TaskHandle submit(std::function<void()> fn,
                     CancellationToken token = {});
 
@@ -140,21 +132,16 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct Batch;
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::mutex submit_mutex_;          // serializes external batches
   std::mutex mutex_;
   std::condition_variable work_ready_;
-  std::condition_variable batch_done_;
-  Batch* batch_ = nullptr;           // guarded by mutex_
-  std::uint64_t generation_ = 0;     // guarded by mutex_
-  std::size_t active_workers_ = 0;   // guarded by mutex_
   bool stopping_ = false;            // guarded by mutex_
-  /// Pending submitted tasks, FIFO; guarded by mutex_. Entries are claimed
-  /// under the task's own state mutex, so a joiner racing a worker for the
-  /// same task resolves cleanly (one runs it, the other waits).
+  /// Pending tasks; guarded by mutex_. Fan-out helpers enter at the front,
+  /// submitted tasks at the back. Entries are claimed under the task's own
+  /// state mutex, so a joiner racing a worker for the same task resolves
+  /// cleanly (one runs it, the other waits).
   std::deque<std::shared_ptr<TaskHandle::State>> tasks_;
 };
 

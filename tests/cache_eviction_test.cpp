@@ -137,6 +137,30 @@ TEST(CacheEviction, ReMissAfterEvictionIsNotAColdMiss) {
   EXPECT_EQ(cache.misses(), 2u);  // total stays hits-complement compatible
 }
 
+TEST(CacheEviction, SpeculativeLookupsAreBookedOnlyWhenConsumed) {
+  // A prefetch's lookup is not demand: it books nothing until the descent
+  // consumes its result and books the hit or miss it stood in for.
+  const CanonicalExample ex;
+  LowerCoverCache cache({CacheEvictionPolicy::kLru, 1});
+  constexpr auto kSpeculative = LowerCoverCache::Lookup::kSpeculative;
+
+  EXPECT_EQ(cache.find(ex.p_a, kSpeculative), nullptr);
+  EXPECT_EQ(cache.misses(), 0u);
+  cache.count_lookup(ex.p_a, /*hit=*/false);
+  EXPECT_EQ(cache.cold_misses(), 1u);
+
+  (void)cache.insert(ex.p_a, dummy_cover(ex.p_a));
+  EXPECT_NE(cache.find(ex.p_a, kSpeculative), nullptr);
+  EXPECT_EQ(cache.hits(), 0u);
+  cache.count_lookup(ex.p_a, /*hit=*/true);
+  EXPECT_EQ(cache.hits(), 1u);
+
+  (void)cache.insert(ex.p_b, dummy_cover(ex.p_b));  // evicts A
+  cache.count_lookup(ex.p_a, /*hit=*/false);
+  EXPECT_EQ(cache.eviction_misses(), 1u);
+  EXPECT_EQ(cache.cold_misses(), 1u);
+}
+
 TEST(CacheEviction, TracksApproximateBytes) {
   const CanonicalExample ex;
   LowerCoverCache cache({CacheEvictionPolicy::kLru, 2});

@@ -45,7 +45,7 @@ TEST(IsClosed, IdentityAndSingleBlockAlwaysClosed) {
 
 TEST(MergeClosure, PaperPairMerges) {
   // The six pairwise merges of the canonical top reproduce the basis and
-  // M5/M6 exactly (DESIGN.md section 2 derivation).
+  // M5/M6 exactly.
   const CanonicalExample ex;
   const auto closure_of = [&](State x, State y) {
     const std::pair<State, State> pairs[] = {{x, y}};

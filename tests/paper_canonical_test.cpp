@@ -1,8 +1,8 @@
 // Locks in every fact the paper states about its running example
 // (Figs. 2, 3 and the prose of sections 2-5) against the reconstruction in
-// DESIGN.md section 2. Fault-graph weights live in paper_fig4_test.cpp and
-// the algorithms' walk-throughs in generator_test.cpp / recovery_test.cpp;
-// this file covers the structural claims.
+// src/fsm/machine_catalog.cpp. Fault-graph weights live in
+// paper_fig4_test.cpp and the algorithms' walk-throughs in generator_test.cpp
+// / recovery_test.cpp; this file covers the structural claims.
 #include <gtest/gtest.h>
 
 #include <vector>

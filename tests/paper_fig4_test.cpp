@@ -1,8 +1,9 @@
 // Regression: every edge weight of the five fault graphs of Fig. 4.
 //
 // The figure text is partially garbled in the source material, but the
-// weights are fully determined by the reconstructed partitions (DESIGN.md
-// section 2), and every weight quoted in the paper's prose is asserted here:
+// weights are fully determined by the reconstructed partitions (see
+// make_paper_machine_a in src/fsm/machine_catalog.cpp), and every weight
+// quoted in the paper's prose is asserted here:
 //   * (i)  G({A}):             edge (t0,t3) = 0, all others 1;
 //   * (ii) G({A,B}):           dmin = 1 — edges (t0,t3), (t2,t3) weigh 1,
 //                              "we can determine if > is in state t0 or t1,

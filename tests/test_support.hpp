@@ -40,7 +40,8 @@ inline std::vector<Partition> component_partitions(const CrossProduct& cp) {
   return out;
 }
 
-/// The reconstructed running example of the paper (DESIGN.md section 2).
+/// The reconstructed running example of the paper (see make_paper_machine_a
+/// in src/fsm/machine_catalog.cpp).
 /// All partitions use the paper's top-state numbering t0..t3, i.e. they
 /// partition make_paper_top()'s states.
 struct CanonicalExample {

@@ -3,11 +3,50 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace ffsm {
 namespace {
+
+// Generous bound on every wait below: a correct pool meets each rendezvous
+// in microseconds, and a broken one fails the test instead of hanging it.
+constexpr auto kRendezvousTimeout = std::chrono::seconds(20);
+
+// A one-shot latch whose waits time out, so a test that would deadlock on
+// a broken pool reports a failure instead.
+class TimedLatch {
+ public:
+  explicit TimedLatch(std::size_t count) : count_(count) {}
+
+  void count_down() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (count_ > 0 && --count_ == 0) released_.notify_all();
+  }
+
+  /// True when the latch opened before the timeout.
+  bool wait() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return released_.wait_for(lock, kRendezvousTimeout,
+                              [this] { return count_ == 0; });
+  }
+
+  bool arrive_and_wait() {
+    count_down();
+    return wait();
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable released_;
+  std::size_t count_;
+};
 
 TEST(ThreadPool, ReportsThreadCount) {
   ThreadPool pool(4);
@@ -144,22 +183,128 @@ TEST(GlobalPool, IsSingleton) {
   EXPECT_GE(ThreadPool::global().thread_count() + 1, 1u);
 }
 
-TEST(ThreadPool, NestedRunChunksExecutesInline) {
+TEST(ThreadPool, NestedRunChunksRunsEveryChunkOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> outer(16);
   std::vector<std::atomic<int>> inner(16 * 8);
   pool.run_chunks(16, [&](std::size_t i) {
     ++outer[i];
-    EXPECT_TRUE(pool.on_this_pool());
-    // A task fanning out on its own pool must not deadlock; the nested
-    // batch runs inline on this worker.
+    // A chunk fanning out on its own pool must not deadlock, whether its
+    // helpers find idle workers or are claimed back by this thread.
     pool.run_chunks(8, [&, i](std::size_t j) { ++inner[i * 8 + j]; });
   });
   for (auto& h : outer) EXPECT_EQ(h.load(), 1);
   for (auto& h : inner) EXPECT_EQ(h.load(), 1);
-  EXPECT_FALSE(pool.on_this_pool());
 }
 
+TEST(ThreadPool, NestedRunChunksFromAWorkerUsesIdleWorkers) {
+  // Both chunks of the nested fan-out wait on a latch only two threads can
+  // release, so it completes only when an idle worker helps the worker that
+  // issued it.
+  ThreadPool pool(4);
+  std::atomic<bool> started{false};
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  std::atomic<int> released{0};
+  TimedLatch both(2);
+  TaskHandle task = pool.submit([&] {
+    started = true;
+    pool.run_chunks(2, [&](std::size_t) {
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        threads.insert(std::this_thread::get_id());
+      }
+      if (both.arrive_and_wait()) ++released;
+    });
+  });
+  // Join only once a worker runs the task, so the fan-out is issued from a
+  // worker rather than claimed inline by this thread.
+  while (!started) std::this_thread::yield();
+  EXPECT_TRUE(task.join());
+  EXPECT_EQ(released.load(), 2);
+  EXPECT_GE(threads.size(), 2u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+}
+
+TEST(ThreadPool, HelpersOutrankSubmittedTasks) {
+  // One worker, parked until the caller's first chunk runs. By then the
+  // queue holds a background task and, in front of it, the fan-out's
+  // helper: the worker must take the helper (and with it chunk 1) first.
+  ThreadPool pool(2);
+  TimedLatch parked(1);
+  std::atomic<bool> worker_parked{false};
+  TaskHandle blocker = pool.submit([&] {
+    worker_parked = true;
+    EXPECT_TRUE(parked.wait());
+  });
+  while (!worker_parked) std::this_thread::yield();
+  std::atomic<bool> background_ran{false};
+  TaskHandle background = pool.submit([&] { background_ran = true; });
+
+  TimedLatch chunk1_done(1);
+  bool background_ran_before_chunk1 = true;
+  pool.run_chunks(2, [&](std::size_t i) {
+    if (i == 0) {
+      parked.count_down();
+      EXPECT_TRUE(chunk1_done.wait());
+    } else {
+      background_ran_before_chunk1 = background_ran.load();
+      chunk1_done.count_down();
+    }
+  });
+  EXPECT_FALSE(background_ran_before_chunk1);
+  EXPECT_TRUE(blocker.join());
+  EXPECT_TRUE(background.join());
+}
+
+TEST(ThreadPool, NestsThreeLevelsOnSmallPools) {
+  for (const std::size_t threads : {1u, 2u}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> hits(4 * 4 * 4);
+    pool.run_chunks(4, [&](std::size_t i) {
+      pool.run_chunks(4, [&, i](std::size_t j) {
+        pool.run_chunks(4, [&, i, j](std::size_t k) {
+          ++hits[(i * 4 + j) * 4 + k];
+        });
+      });
+    });
+    for (std::size_t c = 0; c < hits.size(); ++c)
+      EXPECT_EQ(hits[c].load(), 1) << threads << " threads, cell " << c;
+  }
+}
+
+TEST(ThreadPool, ThrowingCallerChunkJoinsHelpersFirst) {
+  // Helper chunks touch the fan-out's frame until the caller's chunk has
+  // thrown; the exception may only surface once every helper left, or the
+  // helpers would read a dead frame (ASan reports that use).
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  TimedLatch helping(1);
+  TimedLatch thrown(1);
+  std::atomic<int> running{0};
+  std::atomic<int> ran{0};
+  bool caught = false;
+  try {
+    pool.run_chunks(16, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        EXPECT_TRUE(helping.wait());
+        thrown.count_down();
+        throw std::runtime_error("caller chunk");
+      }
+      ++running;
+      helping.count_down();
+      EXPECT_TRUE(thrown.wait());
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      ++ran;
+      --running;
+    });
+  } catch (const std::runtime_error&) {
+    caught = true;
+    EXPECT_EQ(running.load(), 0);
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_GT(ran.load(), 0);
+}
 TEST(TaskHandle, EmptyHandleIsInvalid) {
   TaskHandle handle;
   EXPECT_FALSE(handle.valid());
@@ -227,8 +372,8 @@ TEST(TaskHandle, ManyTasksAllRunOnce) {
     EXPECT_EQ(hits[i].load(), 1) << "task " << i;
 }
 
-TEST(TaskHandle, TasksInterleaveWithBatches) {
-  // Submitted tasks are the background tier: batches must still complete
+TEST(TaskHandle, TasksInterleaveWithFanOuts) {
+  // Submitted tasks are the background tier: fan-outs must still complete
   // while tasks are queued, and every task still runs exactly once.
   ThreadPool pool(4);
   constexpr std::size_t kTasks = 32;
@@ -278,7 +423,7 @@ TEST(TaskHandle, DestroyedPoolCancelsPendingTasks) {
   EXPECT_EQ(ran.load(), 0);
 }
 
-TEST(ThreadPool, ConcurrentExternalBatchesAreSerialized) {
+TEST(ThreadPool, ConcurrentExternalFanOutsRunEveryChunkOnce) {
   ThreadPool pool(3);
   constexpr std::size_t kSubmitters = 4;
   constexpr std::size_t kChunks = 128;
@@ -293,6 +438,30 @@ TEST(ThreadPool, ConcurrentExternalBatchesAreSerialized) {
   for (auto& s : submitters) s.join();
   for (auto& per_thread : hits)
     for (auto& h : per_thread) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentFanOutsWaitingOnEachOtherComplete) {
+  // Every chunk of each submitter waits until a chunk of the other one has
+  // started. A pool that ran one external fan-out at a time would time out
+  // here; interleaved fan-outs meet at once.
+  ThreadPool pool(2);
+  std::atomic<bool> started[2] = {false, false};
+  std::atomic<int> met{0};
+  const auto fan_out = [&](std::size_t self) {
+    pool.run_chunks(4, [&, self](std::size_t) {
+      started[self] = true;
+      const auto deadline =
+          std::chrono::steady_clock::now() + kRendezvousTimeout;
+      while (!started[1 - self] && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      if (started[1 - self]) ++met;
+    });
+  };
+  std::thread first(fan_out, 0);
+  std::thread second(fan_out, 1);
+  first.join();
+  second.join();
+  EXPECT_EQ(met.load(), 8);
 }
 
 }  // namespace
