@@ -18,8 +18,8 @@
 // background health probing — same requests, same bit-identical
 // responses, four failure domains. The whole serving tier is described by
 // one BackendConfig (sim/backend_config.hpp); this file only parses flags
-// into it. --wire={text,bin,auto} pins or negotiates the encoding per
-// worker connection (default auto: offer binary, fall back to text).
+// into it. Every worker connection speaks the binary wire behind a
+// versioned hello.
 //
 // Build & run:  cmake --build build &&
 //               ./build/fusion_service [--backend=subprocess] [--shards=N]
@@ -111,13 +111,6 @@ bool parse_cli(int argc, char** argv, CliOptions& cli) {
       if (!ffsm::parse_backend_kind(arg.substr(std::strlen("--backend=")),
                                     cli.backend.kind))
         return false;
-    } else if (arg.rfind("--wire=", 0) == 0) {
-      // Strict: "--wire=binary" is a typo, not a silent default.
-      if (!ffsm::parse_wire_mode(arg.substr(std::strlen("--wire=")),
-                                 cli.backend.wire))
-        return false;
-    } else if (arg == "--wire" && i + 1 < argc) {
-      if (!ffsm::parse_wire_mode(argv[++i], cli.backend.wire)) return false;
     } else if (arg.rfind("--connect=", 0) == 0) {
       // Strict parse (net::parse_host_port_list): "hostA:70o1" must be
       // rejected, not read as port 70, and "a:1,a:1" or a trailing comma
@@ -158,15 +151,13 @@ bool parse_cli(int argc, char** argv, CliOptions& cli) {
   std::fprintf(
       stderr,
       "usage: %s [--backend={inprocess,subprocess,tcp,replica-tcp}] "
-      "[--connect host:port[,host:port...]] [--wire={text,bin,auto}] "
+      "[--connect host:port[,host:port...]] "
       "[--shards=N] [--trace-out=trace.json] [--metrics-port=N] "
       "[--metrics-linger-ms=N]\n"
       "  --backend=tcp requires --connect with one worker (a running "
       "`ffsm_shard_worker --listen <port>`)\n"
       "  --backend=replica-tcp requires --connect with the worker replica "
-      "seed list, priority order\n"
-      "  --wire: encoding negotiation stance per worker connection "
-      "(default auto: offer binary, fall back to text)\n",
+      "seed list, priority order\n",
       argv0);
   std::exit(2);
 }
@@ -215,8 +206,8 @@ int main(int argc, char** argv) {
     usage(argv[0], error.what());
   }
   FusionCluster cluster(options);
-  std::printf("serving backend: %s (%zu shards, wire %s)\n", backend_name,
-              cluster.shard_count(), wire_mode_name(cli.backend.wire));
+  std::printf("serving backend: %s (%zu shards)\n", backend_name,
+              cluster.shard_count());
   std::optional<net::ExpositionServer> metrics_server;
   if (cli.metrics) {
     metrics_server.emplace(

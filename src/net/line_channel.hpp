@@ -124,13 +124,6 @@ class LineChannel {
   bool read_exact(char* dst, std::size_t count);
   bool read_exact(char* dst, std::size_t count, Deadline deadline);
 
-  /// Pushes bytes back to the front of the read buffer — the negotiation
-  /// peek: a worker reads the first line of a connection, and when it is
-  /// not a hello, unreads it for the codec loop to consume.
-  void unread(std::string_view bytes) {
-    buffer_.insert(0, bytes.data(), bytes.size());
-  }
-
  private:
   bool read_exact_until(char* dst, std::size_t count,
                         const Deadline* deadline);

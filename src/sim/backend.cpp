@@ -23,19 +23,6 @@ const QueuedWireBackend::TopState& QueuedWireBackend::top_of(
   return it->second;
 }
 
-std::string QueuedWireBackend::error_detail(std::istringstream& words) {
-  std::string token;
-  std::string detail = "unknown error";
-  if (words >> token && token != "%") {
-    try {
-      detail = unescape_token(token);
-    } catch (const ContractViolation&) {
-      detail = token;  // garbled escape: better raw than masked
-    }
-  }
-  return detail;
-}
-
 std::string QueuedWireBackend::describe_reply(const Frame& reply) {
   if (reply.type == FrameType::kError) return reply.text;
   return std::string("unexpected '") + frame_type_name(reply.type) +

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -128,10 +127,6 @@ class QueuedWireBackend : public ShardBackend {
   /// `top` frame and expect "ok"; if not, do nothing — the (re)connect
   /// handshake registers every recorded top anyway.
   virtual void register_added_top_locked(const std::string& key) = 0;
-
-  /// Decodes the detail token of an `error <msg>` reply line (the
-  /// directive already consumed from `words`).
-  [[nodiscard]] static std::string error_detail(std::istringstream& words);
 
   /// Human-readable tail for a reply frame that should have been `ok` (or
   /// another expected type): the error detail for kError, the frame type

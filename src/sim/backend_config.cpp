@@ -70,7 +70,6 @@ make_backend_factory(BackendConfig config) {
         SubprocessBackendOptions options;
         options.worker_path = config.worker_path;
         options.config = config.service;
-        options.wire = config.wire;
         options.obs = config.obs;
         return std::make_unique<SubprocessBackend>(std::move(options));
       };
@@ -80,7 +79,6 @@ make_backend_factory(BackendConfig config) {
         options.host = config.endpoints[0].host;
         options.port = config.endpoints[0].port;
         options.config = config.service;
-        options.wire = config.wire;
         options.connect_timeout = config.connect_timeout;
         options.connect_retry = config.connect_retry;
         options.serve_retry = config.serve_retry;
@@ -96,7 +94,6 @@ make_backend_factory(BackendConfig config) {
         ReplicaBackendOptions options;
         options.endpoints = config.endpoints;
         options.config = config.service;
-        options.wire = config.wire;
         options.connect_timeout = config.connect_timeout;
         options.connect_retry = config.connect_retry;
         options.serve_retry = config.serve_retry;

@@ -45,11 +45,10 @@ struct BackendConfig {
   /// Wire-safe service options shipped to workers at every handshake
   /// (and used verbatim by the in-process services).
   ShardServiceConfig service = {};
-  /// Negotiation stance per connection/spawn (see sim/messages.hpp):
-  /// kAuto offers the binary framing and falls back to text against an
-  /// old worker; kText pins the pre-negotiation wire; kBinary requires
-  /// the binary framing. Ignored by kInProcess.
-  WireMode wire = WireMode::kAuto;
+  /// Has no effect: the wire is binary-only. Kept, like WireMode, only
+  /// because perfbench/src/serve.cpp still assigns it; delete both in the
+  /// next change to the benchmark.
+  WireMode wire = WireMode::kBinary;
   /// Connection knobs, meaningful for kTcp/kReplica (defaults match the
   /// per-backend option structs; see ReplicaBackendOptions for semantics).
   std::chrono::milliseconds connect_timeout{2000};

@@ -1,37 +1,18 @@
 // Wire protocol of the serving stack.
 //
 // A shard of the FusionCluster is a backend behind a message boundary (see
-// sim/backend.hpp); this header defines the messages that cross it and
-// their exact round-tripping text codec. Frames are line-oriented in the
-// fsm/serialize style — a directive line opens the frame, key/value lines
-// follow, and a lone `end` line closes it — so machines (to_text, which is
-// self-contained via its alphabet header), requests, responses, stats and
-// configs all travel the same way over any byte stream.
+// sim/backend.hpp); this header defines the messages that cross it and the
+// one encoding they travel in. Everything is a tagged Frame spoken through
+// the WireCodec: a length-prefixed little-endian binary framing whose
+// 16-byte header carries an exchange id, so several serve exchanges
+// interleave on one connection (layouts in messages.cpp, README "Wire
+// format"). Machines travel inside kTop frames as self-contained to_text
+// (fsm/serialize, alphabet header included), so a worker rebuilds
+// bit-exact transition tables; partitions travel as normalized block
+// assignments, so decode(encode(x)) == x and re-encoding is byte-exact.
 //
-//   request <ticket> <client>             response <ticket> <client>
-//   f <f>                                 fusion <b0> <b1> ...   (per machine)
-//   policy <fewest_blocks|...>            stats <8 counters, fixed order>
-//   original <b0> <b1> ...  (per orig)    end
-//   end
-//
-//   stats                                 config
-//   requests_submitted <n>                parallel <0|1>
-//   ... (one counter per line)            threads <n>
-//   end                                   incremental <0|1>
-//                                         cache_policy <lru|epoch|...>
-//                                         cache_capacity <n>
-//                                         end
-//
-// Tokens that may contain arbitrary bytes (client names, top keys) are
-// percent-escaped (escape_token); partitions travel as their normalized
-// block assignments, so decode(encode(x)) == x and, for canonical frames,
-// encode(decode(text)) == text byte for byte.
-//
-// Since PR 6 the text protocol above is one of two interchangeable
-// encodings behind the WireCodec interface. The negotiated alternative is
-// a length-prefixed binary framing (BinaryWireCodec) whose frames carry an
-// exchange id, letting several serve exchanges interleave on one
-// connection. See the WireCodec section below and README "Wire format".
+// A connection opens with one text line each way, the versioned hello
+// (see "negotiation" below); every byte after it is binary frames.
 #pragma once
 
 #include <chrono>
@@ -60,9 +41,8 @@ struct FusionResponse {
 
 // The single source of truth for the ServiceStats counter set: one X(name,
 // aggregation) row per counter, in wire order. Everything that enumerates
-// the counters expands this table — the text codec's encode/decode lines,
-// the binary codec's fixed-order u64 list, the duplicate/missing seen-bit
-// bookkeeping, and FusionCluster::stats() aggregation — so adding a counter
+// the counters expands this table — the codec's fixed-order u64 list and
+// FusionCluster::stats() aggregation — so adding a counter
 // is one row here plus one struct field below (a mismatch between the two
 // fails to compile). Appending a row changes the negotiated payload shape:
 // bump the hello version (kHelloVersion in messages.cpp).
@@ -111,7 +91,7 @@ inline constexpr std::size_t kServiceStatsCounters = []() {
 /// cache under pressure does not masquerade as a cold workload
 /// (cache_hits + cache_cold_misses + cache_eviction_misses == lookups).
 /// The field set is mirrored by FFSM_SERVICE_STATS_COUNTERS above, which
-/// drives both codecs and the cluster aggregation.
+/// drives the codec and the cluster aggregation.
 struct ServiceStats {
   std::uint64_t requests_submitted = 0;
   std::uint64_t requests_served = 0;
@@ -173,31 +153,6 @@ struct WireRequest {
   FusionRequest request;
 };
 
-// ----------------------------------------------------- free-function codec
-//
-// Every decode throws ContractViolation on malformed input (unknown
-// directive, missing field, trailing garbage) — a truncated or corrupted
-// frame must fail loudly at the boundary, never produce a half-read
-// message.
-//
-// DEPRECATED: these free functions are thin wrappers over the *text*
-// encoding and are kept so existing callers compile unchanged. New code
-// should speak Frame through a WireCodec (below), which also supports the
-// negotiated binary framing; these wrappers will be removed once
-// out-of-tree callers have migrated.
-
-[[nodiscard]] std::string encode_request(const WireRequest& request);
-[[nodiscard]] WireRequest decode_request(std::string_view text);
-
-[[nodiscard]] std::string encode_response(const FusionResponse& response);
-[[nodiscard]] FusionResponse decode_response(std::string_view text);
-
-[[nodiscard]] std::string encode_stats(const ServiceStats& stats);
-[[nodiscard]] ServiceStats decode_stats(std::string_view text);
-
-[[nodiscard]] std::string encode_config(const ShardServiceConfig& config);
-[[nodiscard]] ShardServiceConfig decode_config(std::string_view text);
-
 // ----------------------------------------------------------------- tokens
 
 /// Percent-escapes a byte string into a whitespace-free token ('%', ASCII
@@ -208,28 +163,13 @@ struct WireRequest {
 /// Inverse of escape_token; throws ContractViolation on malformed escapes.
 [[nodiscard]] std::string unescape_token(std::string_view token);
 
-/// Wire names of the enums (stable — they are protocol, not display).
-[[nodiscard]] const char* policy_name(DescentPolicy policy);
-[[nodiscard]] DescentPolicy policy_from_name(std::string_view name);
-[[nodiscard]] const char* cache_policy_name(CacheEvictionPolicy policy);
-[[nodiscard]] CacheEvictionPolicy cache_policy_from_name(
-    std::string_view name);
-
 // ------------------------------------------------------------- wire codec
 
-/// Which encoding a peer speaks (or is willing to negotiate).
-///   kAuto   — offer the binary framing, fall back to text when the peer
-///             does not negotiate (old workers). The default everywhere.
-///   kText   — speak the line-oriented text protocol, no hello at all;
-///             byte-identical to the pre-negotiation wire.
-///   kBinary — require the binary framing; a peer that cannot negotiate it
-///             fails the connection instead of falling back.
-enum class WireMode { kAuto, kText, kBinary };
-
-[[nodiscard]] const char* wire_mode_name(WireMode mode);
-/// Strict parse of "text" / "bin" / "auto" (the --wire flag values);
-/// returns false on anything else, leaving `out` untouched.
-[[nodiscard]] bool parse_wire_mode(std::string_view name, WireMode& out);
+/// The wire encoding selector. The wire is binary-only, so this has one
+/// value; it survives, together with BackendConfig::wire, only because the
+/// benchmark harness (perfbench/src/serve.cpp) still assigns it. Delete
+/// both in the next change to the benchmark.
+enum class WireMode { kBinary };
 
 /// Everything that crosses a backend boundary, as a tagged variant. One
 /// type for both directions: commands (kConfig, kTop, kServe + kRequest*,
@@ -267,9 +207,8 @@ enum class FrameType : std::uint8_t {
 
 /// One decoded wire frame. Which fields are meaningful depends on `type`
 /// (see FrameType); the rest stay default-constructed. `exchange` is the
-/// multiplexing tag of the binary framing — replies echo the exchange id
-/// of their command, so several exchanges can interleave on one
-/// connection. The text encoding cannot carry it (always 0).
+/// multiplexing tag of the framing — replies echo the exchange id of their
+/// command, so several exchanges can interleave on one connection.
 struct Frame {
   FrameType type = FrameType::kOk;
   std::uint64_t exchange = 0;
@@ -289,7 +228,7 @@ struct Frame {
   obs::ObsSnapshot obs;      // kObs
 };
 
-/// Mark/restore bump allocator backing binary frame decode: the payload of
+/// Mark/restore bump allocator backing frame reads: the payload of
 /// every incoming frame is staged in one arena block (no per-frame buffer
 /// allocation in steady state — restore() keeps the memory) and parsed in
 /// place. Chunked so a mark survives growth; an allocation larger than the
@@ -322,24 +261,22 @@ class WireArena {
   std::size_t used_ = 0;     // bytes used in chunks_[current_]
 };
 
-/// One wire encoding: how a Frame becomes bytes and back. Both directions
-/// of every backend (QueuedWireBackend subclasses parent-side, the shard
-/// worker on the other end) speak Frame through this interface and never
-/// touch encoding details. Implementations may keep decode scratch state
-/// (the binary codec's arena), so decode/read are non-const; one codec
-/// instance must not be shared by concurrent readers.
+/// How a Frame becomes bytes and back. Both directions of every backend
+/// (QueuedWireBackend subclasses parent-side, the shard worker on the
+/// other end) speak Frame through this class and never touch encoding
+/// details. Frame = 16-byte little-endian header + payload:
+///
+///   u32 payload_len | u8 type | u8 0 | u16 0 | u64 exchange
+///
+/// Reserved header bytes must be zero, unknown types are rejected and
+/// payload_len is capped, so a corrupted header fails before it can size
+/// an allocation. Channel reads stage payloads in a WireArena, so one
+/// codec instance must not be shared by concurrent readers; encode() and
+/// decode() are const and safe from any thread.
 class WireCodec {
  public:
-  virtual ~WireCodec() = default;
-
-  /// Stable wire name: "text" or "bin" (also the negotiation token).
-  [[nodiscard]] virtual const char* name() const noexcept = 0;
-  /// Whether frames carry exchange ids (binary only) — the precondition
-  /// for interleaving exchanges on one connection.
-  [[nodiscard]] virtual bool multiplexed() const noexcept = 0;
-
   /// Appends `frame`'s wire bytes to `out`.
-  virtual void encode(const Frame& frame, std::string& out) const = 0;
+  void encode(const Frame& frame, std::string& out) const;
   [[nodiscard]] std::string encode(const Frame& frame) const {
     std::string out;
     encode(frame, out);
@@ -348,73 +285,68 @@ class WireCodec {
 
   /// Decodes exactly one frame from a complete buffer. Strict: truncated
   /// input and trailing bytes both throw ContractViolation, as does any
-  /// malformed content. (The unit-testable surface; transport reads below
+  /// malformed content. (The unit-testable surface; channel reads below
   /// share its parsing.)
-  [[nodiscard]] virtual Frame decode(std::string_view bytes) = 0;
+  [[nodiscard]] Frame decode(std::string_view bytes) const;
 
   /// Reads one frame off the channel, blocking as long as it takes (the
   /// parent side: serve replies legitimately take minutes, TCP keepalive
   /// bounds a dead peer). EOF — even mid-frame — and transport errors
   /// throw NetError; malformed content throws ContractViolation with the
   /// stream position unknowable.
-  [[nodiscard]] virtual Frame expect(net::LineChannel& channel,
-                                     const char* context) = 0;
+  [[nodiscard]] Frame expect(net::LineChannel& channel, const char* context);
 
   /// Reads one command frame (the worker side): returns std::nullopt on
   /// clean EOF before the frame begins; once it has begun, the rest must
   /// arrive within `frame_budget` or the read fails with NetError. A
-  /// ContractViolation means the frame was malformed; for the text codec
-  /// the line(s) were fully consumed and the stream is still in sync (the
-  /// error-reply-and-continue path old workers rely on); for the binary
-  /// codec the stream must be torn down.
-  [[nodiscard]] virtual std::optional<Frame> read_command(
-      net::LineChannel& channel, std::chrono::milliseconds frame_budget) = 0;
-};
+  /// ContractViolation means the frame was malformed and the stream must
+  /// be torn down — a length-prefixed stream cannot resync.
+  [[nodiscard]] std::optional<Frame> read_command(
+      net::LineChannel& channel, std::chrono::milliseconds frame_budget);
 
-/// The codec for one negotiated wire: "bin" or "text".
-[[nodiscard]] std::unique_ptr<WireCodec> make_wire_codec(bool binary);
+ private:
+  Frame read_payload(net::LineChannel& channel, const char* header_bytes,
+                     const net::Deadline* deadline);
+
+  WireArena arena_;
+};
 
 // ------------------------------------------------------------ negotiation
 //
-// A parent that wants the binary wire opens every connection with a hello
-// line — `hello <version> <offer>[,<offer>...]` — listing the encodings
-// it accepts, best first. A negotiating worker answers
-// `hello <version> <choice>` and both sides switch; a worker that
-// predates negotiation (or runs --wire=text) answers
-// `error unknown%20command...` like for any unknown directive and keeps
-// listening, so the parent falls back to text with the stream still in
-// sync. No hello means text, byte-identical to the old wire.
+// Every connection opens with one text line each way. The parent sends
+// `hello <version> bin`; a worker that speaks this version and is offered
+// `bin` answers the same line and both sides switch to binary frames.
+// Anything else fails the connection — there is no fallback encoding,
+// so a mismatched peer is refused at the handshake instead of failing
+// mid-stream:
+//   - a hello of another version, a hello that does not offer `bin`, or
+//     any other first line gets one `error <escaped detail>` line from the
+//     worker, which then closes the connection;
+//   - the parent throws on any reply other than the hello line.
+// The one exception is a bare `ping` first line — the HealthMonitor's
+// liveness probe — which the worker answers `pong` before closing.
 //
 // The version is a single integer both sides must match exactly; it is
-// bumped whenever a negotiated payload changes shape in either encoding
-// (current: 5 — see kHelloVersion in messages.cpp for the history). A
-// worker seeing an unsupported version answers
-// `error unsupported%20hello%20version...`; the parent recognizes that
-// reply and fails the connection in every mode — no text fallback, since
-// the text payloads differ across versions too.
+// bumped whenever a payload changes shape (current: 5 — see kHelloVersion
+// in messages.cpp for the history). Offer lists may name several
+// encodings separated by commas; unknown ones are ignored, so an older v5
+// parent offering `bin,text` still gets binary.
 
-/// The parent's opening line (trailing '\n' included). kText sends no
-/// hello — calling this with kText is a contract violation.
-[[nodiscard]] std::string client_hello(WireMode mode);
+/// The hello line (trailing '\n' included): the parent's offer and the
+/// worker's acceptance are the same `hello <version> bin`.
+[[nodiscard]] std::string hello_line();
 
-/// Parses a worker-received `hello` line. Returns false when `line` is
-/// not a hello at all; throws ContractViolation on a hello with an
-/// unsupported version. Unknown offer tokens are ignored (future codecs
-/// degrade gracefully).
+/// Parses a worker-received first line. Returns false when `line` is not
+/// a hello at all; throws ContractViolation on a malformed hello or one
+/// with an unsupported version. Sets `offers_binary` to whether the offer
+/// list names `bin`.
 [[nodiscard]] bool parse_client_hello(std::string_view line,
-                                      bool& offers_binary, bool& offers_text);
+                                      bool& offers_binary);
 
-/// The worker's answer line for `binary` (trailing '\n' included).
-[[nodiscard]] std::string worker_hello(bool binary);
-
-/// Client-side negotiation on a fresh connection: sends the hello for
-/// `mode` (none for kText), reads the worker's answer, and returns the
-/// agreed codec. An `error` answer mentioning the hello means a version
-/// mismatch and throws in every mode; any other `error` means a
-/// non-negotiating worker: kAuto falls back to text, kBinary throws
-/// ContractViolation. Any other answer is a protocol violation (throws;
-/// the caller drops the connection).
-[[nodiscard]] std::unique_ptr<WireCodec> negotiate_wire(
-    net::LineChannel& channel, WireMode mode);
+/// Client-side negotiation on a fresh connection: sends the hello and
+/// reads the worker's answer. Throws ContractViolation on any answer
+/// other than the hello line (an `error` refusal included), NetError when
+/// the worker closes first; the caller drops the connection either way.
+void negotiate_wire(net::LineChannel& channel);
 
 }  // namespace ffsm

@@ -80,18 +80,19 @@ void ReplicaBackend::connect_endpoint_locked(std::size_t replica) {
                             options_.keepalive_interval_s,
                             options_.keepalive_probes);
   net::LineChannel channel(std::move(socket));
-  // Negotiation first (the worker answers before any serving state
-  // exists), then the handshake in the agreed encoding. A listen-mode
+  // The hello first (the worker answers before any serving state
+  // exists), then the handshake in binary frames. A listen-mode
   // worker starts every connection with clean state, so the full
   // handshake replays: config, then every top in registration order —
   // which is why any replica serves bit-identically. NetError here routes
   // to the next replica; a worker that *answers* but wrongly throws
   // ContractViolation and is not routed around.
-  std::unique_ptr<WireCodec> codec = negotiate_wire(channel, options_.wire);
+  negotiate_wire(channel);
+  WireCodec codec;
   Frame config = command_frame(FrameType::kConfig);
   config.config = options_.config;
-  channel.send(codec->encode(config));
-  const Frame config_reply = codec->expect(channel, "config");
+  channel.send(codec.encode(config));
+  const Frame config_reply = codec.expect(channel, "config");
   if (config_reply.type != FrameType::kOk)
     throw ContractViolation("ReplicaBackend: worker rejected config (is " +
                             net::to_string(endpoint) +
@@ -101,8 +102,8 @@ void ReplicaBackend::connect_endpoint_locked(std::size_t replica) {
     Frame top = command_frame(FrameType::kTop);
     top.key = key;
     top.text = tops_.at(key).machine_text;
-    channel.send(codec->encode(top));
-    const Frame top_reply = codec->expect(channel, "top registration");
+    channel.send(codec.encode(top));
+    const Frame top_reply = codec.expect(channel, "top registration");
     if (top_reply.type != FrameType::kOk)
       throw ContractViolation("ReplicaBackend: worker at " +
                               net::to_string(endpoint) + " rejected top '" +
@@ -119,16 +120,16 @@ void ReplicaBackend::connect_endpoint_locked(std::size_t replica) {
     warm.key = key;
     warm.count = top.warm.size();
     warm.entries = top.warm;
-    channel.send(codec->encode(warm));
-    const Frame warm_reply = codec->expect(channel, "warm cache replay");
+    channel.send(codec.encode(warm));
+    const Frame warm_reply = codec.expect(channel, "warm cache replay");
     if (warm_reply.type != FrameType::kOk)
       throw ContractViolation("ReplicaBackend: worker at " +
                               net::to_string(endpoint) +
                               " rejected warm cache for '" + key +
                               "': " + describe_reply(warm_reply));
   }
-  conversation_ = std::make_shared<WireConversation>(
-      std::move(channel), std::move(codec), options_.obs);
+  conversation_ =
+      std::make_shared<WireConversation>(std::move(channel), options_.obs);
   ++connects_;
   // A reconnect that lands on a different replica is a failover (or a
   // fail-back — both move the serving endpoint); the first connection
@@ -202,9 +203,8 @@ void ReplicaBackend::ensure_connected() {
 void ReplicaBackend::register_added_top_locked(const std::string& key) {
   if (!conversation_ || conversation_->poisoned()) return;
   try {
-    // A live connection learns the top through its own exchange — on the
-    // binary wire this interleaves with in-flight drains; on the text
-    // wire it waits for the connection like any other exchange.
+    // A live connection learns the top through its own exchange, which
+    // interleaves with in-flight drains.
     WireConversation::Exchange exchange =
         WireConversation::open(conversation_);
     Frame top = command_frame(FrameType::kTop);
@@ -302,8 +302,7 @@ std::vector<FusionResponse> ReplicaBackend::serve_exchange(
 
 std::vector<FusionResponse> ReplicaBackend::drain(const std::string& key) {
   // One drain per top at a time; drains for *different* tops proceed
-  // concurrently and, on the binary wire, interleave their exchanges on
-  // the shared connection.
+  // concurrently and interleave their exchanges on the shared connection.
   const std::lock_guard<std::mutex> serialize(serve_gate(key));
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -493,11 +492,6 @@ std::uint64_t ReplicaBackend::failovers() const {
 std::size_t ReplicaBackend::current_replica() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return current_;
-}
-
-std::string ReplicaBackend::wire_name() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return conversation_ ? conversation_->wire_name() : "";
 }
 
 }  // namespace ffsm

@@ -22,12 +22,11 @@
 // queued and the cluster's failed-drain path takes over; any replica
 // coming back recovers the backlog.
 //
-// Every connection negotiates its encoding (sim/messages.hpp): by default
-// the backend offers the binary framing and falls back to text against
-// old workers. The connection itself is a WireConversation — on the
-// binary wire drains for different tops run as interleaved exchanges on
-// the one connection (wire I/O happens *outside* the backend lock), while
-// the text wire serializes exchanges exactly as before.
+// Every connection opens with the versioned hello (sim/messages.hpp) and
+// then speaks binary frames; a worker that refuses the hello fails the
+// connection. The connection itself is a WireConversation — drains for
+// different tops run as interleaved exchanges on the one connection (wire
+// I/O happens *outside* the backend lock).
 //
 // Endpoint selection consults an optional net::HealthMonitor probing the
 // seed list in the background: the connect scan tries replicas the
@@ -66,11 +65,6 @@ struct ReplicaBackendOptions {
   std::vector<net::Endpoint> endpoints;
   /// Wire-safe service options sent at every (re)connect.
   ShardServiceConfig config = {};
-  /// Negotiation stance for every connection (see sim/messages.hpp):
-  /// kAuto offers the binary framing and falls back to text against a
-  /// non-negotiating worker; kText pins the pre-negotiation wire; kBinary
-  /// requires the binary framing and fails the connection otherwise.
-  WireMode wire = WireMode::kAuto;
   /// Bounded time per connect attempt against a black-holed host.
   std::chrono::milliseconds connect_timeout{2000};
   /// Backoff across connect rounds; every round scans the whole replica
@@ -137,9 +131,6 @@ class ReplicaBackend : public QueuedWireBackend {
   [[nodiscard]] std::uint64_t failovers() const;
   /// Seed-list index of the live (or most recent) connection's replica.
   [[nodiscard]] std::size_t current_replica() const;
-  /// Negotiated encoding of the live connection ("bin" or "text"); empty
-  /// while disconnected.
-  [[nodiscard]] std::string wire_name() const;
 
  private:
   /// A live connection learns new tops immediately; otherwise the next
@@ -177,9 +168,9 @@ class ReplicaBackend : public QueuedWireBackend {
   [[nodiscard]] std::mutex& serve_gate(const std::string& key);
   /// Ships `batch` as serve_window-sized exchanges on `conversation`;
   /// responses in batch (= ticket) order. Runs WITHOUT the backend lock —
-  /// on the binary wire other tops' drains interleave on the same
-  /// connection while this one waits. NetError => the conversation is
-  /// already poisoned (the caller drops and retries).
+  /// other tops' drains interleave on the same connection while this one
+  /// waits. NetError => the conversation is already poisoned (the caller
+  /// drops and retries).
   std::vector<FusionResponse> serve_exchange(
       const std::shared_ptr<WireConversation>& conversation,
       const std::string& key, const std::vector<WireRequest>& batch);

@@ -54,7 +54,6 @@ void SubprocessBackend::die_locked(const std::string& what) {
 
 void SubprocessBackend::kill_worker_locked() noexcept {
   channel_.close();
-  codec_.reset();
   if (worker_pid_ > 0) {
     ::kill(worker_pid_, SIGKILL);
     ::waitpid(worker_pid_, nullptr, 0);
@@ -75,7 +74,7 @@ void SubprocessBackend::send_locked(std::string_view data) {
 
 Frame SubprocessBackend::expect_frame_locked(const char* context) {
   try {
-    return codec_->expect(channel_, context);
+    return codec_.expect(channel_, context);
   } catch (const net::NetError&) {
     die_locked(std::string("worker closed the channel during ") + context);
   }
@@ -88,7 +87,7 @@ void SubprocessBackend::register_top_locked(const std::string& key,
   Frame frame = command_frame(FrameType::kTop);
   frame.key = key;
   frame.text = top.machine_text;
-  send_locked(codec_->encode(frame));
+  send_locked(codec_.encode(frame));
   const Frame reply = expect_frame_locked("top registration");
   if (reply.type != FrameType::kOk)
     die_locked("worker rejected top '" + key +
@@ -102,7 +101,7 @@ void SubprocessBackend::replay_warm_locked(const std::string& key,
   frame.key = key;
   frame.count = top.warm.size();
   frame.entries = top.warm;
-  send_locked(codec_->encode(frame));
+  send_locked(codec_.encode(frame));
   const Frame reply = expect_frame_locked("warm cache replay");
   if (reply.type != FrameType::kOk)
     die_locked("worker rejected warm cache for '" + key +
@@ -153,23 +152,23 @@ void SubprocessBackend::ensure_worker_locked() {
   if (options_.obs != nullptr && spawns_ > 1)
     options_.obs->instant("worker.respawn");
 
-  // Negotiate the encoding, then handshake: configure and re-register
+  // Open with the hello, then handshake: configure and re-register
   // every top in registration order (so a respawned worker rebuilds the
   // exact same services).
   try {
-    codec_ = negotiate_wire(channel_, options_.wire);
+    negotiate_wire(channel_);
   } catch (const net::NetError&) {
     die_locked("worker closed the channel during negotiation (is '" + path +
                "' an ffsm_shard_worker?)");
   } catch (const ContractViolation&) {
-    // The worker answered, but not with a wire we accept (e.g. --wire=bin
-    // against an old binary): reap it and let the mismatch propagate.
+    // The worker answered, but refused the hello (e.g. a binary of another
+    // protocol version): reap it and let the mismatch propagate.
     kill_worker_locked();
     throw;
   }
   Frame config = command_frame(FrameType::kConfig);
   config.config = options_.config;
-  send_locked(codec_->encode(config));
+  send_locked(codec_.encode(config));
   const Frame reply = expect_frame_locked("config");
   if (reply.type != FrameType::kOk)
     die_locked("worker rejected config (is '" + path +
@@ -202,11 +201,11 @@ std::vector<FusionResponse> SubprocessBackend::drain(const std::string& key) {
   // cluster.serve_top wrapping this drain) so the worker's gen.* spans
   // come back parent-linked under it.
   serve.parent = obs::current_span_id();
-  codec_->encode(serve, msg);
+  codec_.encode(serve, msg);
   for (const WireRequest& request : top.queue) {
     Frame frame = command_frame(FrameType::kRequest);
     frame.request = request;
-    codec_->encode(frame, msg);
+    codec_.encode(frame, msg);
   }
   send_locked(msg);
 
@@ -254,7 +253,7 @@ std::vector<FusionResponse> SubprocessBackend::drain(const std::string& key) {
     Frame query = command_frame(FrameType::kCacheWarm);
     query.key = key;
     query.count = kWarmSnapshotEntries;
-    send_locked(codec_->encode(query));
+    send_locked(codec_.encode(query));
     Frame snapshot = expect_frame_locked("warm cache snapshot");
     if (snapshot.type == FrameType::kCacheWarm)
       top.warm = std::move(snapshot.entries);
@@ -280,7 +279,7 @@ ServiceStats SubprocessBackend::stats(const std::string& key) const {
   try {
     Frame query = command_frame(FrameType::kStatsQuery);
     query.key = key;
-    self->send_locked(self->codec_->encode(query));
+    self->send_locked(self->codec_.encode(query));
     const Frame reply = self->expect_frame_locked("stats");
     if (reply.type != FrameType::kStats) return cold;
     ServiceStats remote = reply.stats;
@@ -300,7 +299,7 @@ obs::ObsSnapshot SubprocessBackend::obs_snapshot() {
   try {
     // An empty kObs frame is the query form; the worker replies with a
     // kObs frame carrying its snapshot (mirrors the kCacheWarm query).
-    send_locked(codec_->encode(command_frame(FrameType::kObs)));
+    send_locked(codec_.encode(command_frame(FrameType::kObs)));
     Frame reply = expect_frame_locked("obs");
     if (reply.type != FrameType::kObs) return {};
     return std::move(reply.obs);
@@ -314,13 +313,11 @@ void SubprocessBackend::shutdown() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (channel_.valid()) {
     try {
-      if (codec_)
-        channel_.send(codec_->encode(command_frame(FrameType::kShutdown)));
+      channel_.send(codec_.encode(command_frame(FrameType::kShutdown)));
     } catch (const net::NetError&) {
       // Worker already gone; the reap below still applies.
     }
     channel_.close();
-    codec_.reset();
   }
   if (worker_pid_ > 0) {
     // The worker exits on `shutdown` or stdin EOF, whichever it sees
@@ -338,11 +335,6 @@ int SubprocessBackend::worker_pid() const {
 std::uint64_t SubprocessBackend::spawns() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return spawns_;
-}
-
-std::string SubprocessBackend::wire_name() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return channel_.valid() && codec_ ? codec_->name() : "";
 }
 
 }  // namespace ffsm

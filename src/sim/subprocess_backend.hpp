@@ -5,9 +5,8 @@
 // over a socketpair bridged to the worker's stdin/stdout. Machines travel
 // as self-contained to_text (alphabet header included), so the worker
 // reconstructs bit-exact transition tables and serves bit-identical
-// fusions to the in-process backend. By default the backend offers the
-// binary framing at spawn and falls back to text against an old worker
-// binary; either way the exchanges below are the same Frames.
+// fusions to the in-process backend. Every spawn opens with the versioned
+// hello; a worker binary that refuses it fails the spawn.
 //
 // Queueing lives parent-side: submit() queues here, drain(key) ships the
 // whole backlog as one `serve` exchange and clears it only once every
@@ -30,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,11 +50,6 @@ struct SubprocessBackendOptions {
   std::string worker_path;
   /// Wire-safe service options sent to the worker at every (re)spawn.
   ShardServiceConfig config = {};
-  /// Negotiation stance at every (re)spawn (see sim/messages.hpp): kAuto
-  /// offers the binary framing and falls back to text against an old
-  /// worker binary; kText pins the pre-negotiation wire; kBinary requires
-  /// the binary framing and fails the spawn handshake otherwise.
-  WireMode wire = WireMode::kAuto;
   /// Optional observability context (nullptr = uninstrumented): the
   /// backend emits a `worker.respawn` instant event per respawn, and
   /// obs_snapshot() pulls the worker's own counters/histograms/spans over
@@ -92,9 +85,6 @@ class SubprocessBackend final : public QueuedWireBackend {
   [[nodiscard]] int worker_pid() const;
   /// Workers (re)spawned so far — 1 after the first drain, +1 per restart.
   [[nodiscard]] std::uint64_t spawns() const;
-  /// Negotiated encoding of the live worker's wire ("bin" or "text");
-  /// empty while no worker is running.
-  [[nodiscard]] std::string wire_name() const;
 
  private:
   /// A live worker learns new tops immediately; otherwise the next
@@ -124,7 +114,7 @@ class SubprocessBackend final : public QueuedWireBackend {
   SubprocessBackendOptions options_;
   int worker_pid_ = 0;
   net::LineChannel channel_;
-  std::unique_ptr<WireCodec> codec_;  // live worker's negotiated encoding
+  WireCodec codec_;
   std::uint64_t spawns_ = 0;
 };
 

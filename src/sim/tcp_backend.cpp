@@ -24,7 +24,6 @@ ReplicaBackendOptions as_replica_options(TcpBackendOptions options) {
   ReplicaBackendOptions replica;
   replica.endpoints = {{std::move(options.host), options.port}};
   replica.config = std::move(options.config);
-  replica.wire = options.wire;
   replica.connect_timeout = options.connect_timeout;
   replica.connect_retry = options.connect_retry;
   replica.serve_retry = options.serve_retry;
@@ -64,10 +63,8 @@ ListenerWorkerProcess::ListenerWorkerProcess(Options options) {
     ::close(out_pipe[0]);
     ::close(out_pipe[1]);
     const std::string port_arg = std::to_string(options.port);
-    const std::string wire_arg =
-        std::string("--wire=") + wire_mode_name(options.wire);
     ::execlp(path.c_str(), "ffsm_shard_worker", "--listen", port_arg.c_str(),
-             wire_arg.c_str(), static_cast<char*>(nullptr));
+             static_cast<char*>(nullptr));
     ::_exit(127);  // exec failed; the parent sees EOF on the banner pipe
   }
   ::close(out_pipe[1]);

@@ -35,11 +35,6 @@ struct TcpBackendOptions {
   std::uint16_t port = 0;
   /// Wire-safe service options sent at every (re)connect.
   ShardServiceConfig config = {};
-  /// Negotiation stance for every connection (see sim/messages.hpp):
-  /// kAuto offers the binary framing and falls back to text against a
-  /// non-negotiating worker; kText pins the pre-negotiation wire; kBinary
-  /// requires the binary framing and fails the connection otherwise.
-  WireMode wire = WireMode::kAuto;
   /// Bounded time per connect attempt against a black-holed host.
   std::chrono::milliseconds connect_timeout{2000};
   /// Backoff across connect attempts (worker restarting, port not yet
@@ -86,10 +81,6 @@ class ListenerWorkerProcess {
     /// 0 = ephemeral; pass a previous instance's port() to respawn a
     /// listener on the same address (SO_REUSEADDR makes this race-free).
     std::uint16_t port = 0;
-    /// Forwarded as --wire to the worker: kAuto negotiates per connection
-    /// (the default), kText pins the pre-negotiation behaviour (how tests
-    /// stand in for an old worker binary), kBinary refuses text parents.
-    WireMode wire = WireMode::kAuto;
   };
 
   ListenerWorkerProcess();  // Options() defaults: ephemeral port

@@ -6,12 +6,9 @@
 
 namespace ffsm {
 
-WireConversation::WireConversation(net::LineChannel channel,
-                                   std::unique_ptr<WireCodec> codec,
-                                   obs::Obs* obs)
-    : channel_(std::move(channel)), codec_(std::move(codec)), obs_(obs) {
+WireConversation::WireConversation(net::LineChannel channel, obs::Obs* obs)
+    : channel_(std::move(channel)), obs_(obs) {
   FFSM_EXPECTS(channel_.valid());
-  FFSM_EXPECTS(codec_ != nullptr);
 }
 
 WireConversation::~WireConversation() = default;
@@ -44,7 +41,7 @@ void WireConversation::poison(const std::string& reason) noexcept {
 void WireConversation::send_goodbye(const Frame& frame) noexcept {
   try {
     std::string buffer;
-    codec_->encode(frame, buffer);
+    codec_.encode(frame, buffer);
     const std::lock_guard<std::mutex> lock(send_mutex_);
     channel_.send(buffer);
   } catch (...) {
@@ -90,7 +87,7 @@ Frame WireConversation::receive_for(std::uint64_t id) {
     const std::uint64_t decode_start =
         obs_ != nullptr && obs_->enabled() ? obs_->now_us() : 0;
     try {
-      frame = codec_->expect(channel_, "conversation");
+      frame = codec_.expect(channel_, "conversation");
     } catch (const std::exception& error) {
       lock.lock();
       reading_ = false;
@@ -103,24 +100,6 @@ Frame WireConversation::receive_for(std::uint64_t id) {
     reading_ = false;
     route_locked(std::move(frame));
     frames_ready_.notify_all();
-  }
-}
-
-Frame WireConversation::receive_exclusive() {
-  {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (dead_) throw net::NetError(death_reason_);
-  }
-  try {
-    const std::uint64_t decode_start =
-        obs_ != nullptr && obs_->enabled() ? obs_->now_us() : 0;
-    Frame frame = codec_->expect(channel_, "reply");
-    if (obs_ != nullptr && obs_->enabled())
-      obs_->record("wire.decode", obs_->now_us() - decode_start);
-    return frame;
-  } catch (const std::exception& error) {
-    poison(error.what());
-    throw;
   }
 }
 
@@ -141,35 +120,23 @@ void WireConversation::send_buffer(const std::string& buffer) {
 WireConversation::Exchange WireConversation::open(
     const std::shared_ptr<WireConversation>& self) {
   FFSM_EXPECTS(self != nullptr);
-  if (self->multiplexed()) {
-    const std::lock_guard<std::mutex> lock(self->state_mutex_);
-    if (self->dead_) throw net::NetError(self->death_reason_);
-    const std::uint64_t id = self->next_exchange_++;
-    self->inboxes_.emplace(id, std::deque<Frame>{});
-    ++self->active_;
-    return Exchange(self, id, std::unique_lock<std::mutex>());
-  }
-  // Text wire: the exchange owns the whole connection until closed.
-  std::unique_lock<std::mutex> exclusive(self->exclusive_mutex_);
   const std::lock_guard<std::mutex> lock(self->state_mutex_);
   if (self->dead_) throw net::NetError(self->death_reason_);
+  const std::uint64_t id = self->next_exchange_++;
+  self->inboxes_.emplace(id, std::deque<Frame>{});
   ++self->active_;
-  return Exchange(self, 0, std::move(exclusive));
+  return Exchange(self, id);
 }
 
 // ---------------------------------------------------------------- Exchange
 
 WireConversation::Exchange::Exchange(
-    std::shared_ptr<WireConversation> conversation, std::uint64_t id,
-    std::unique_lock<std::mutex> exclusive)
-    : conversation_(std::move(conversation)),
-      id_(id),
-      exclusive_(std::move(exclusive)) {}
+    std::shared_ptr<WireConversation> conversation, std::uint64_t id)
+    : conversation_(std::move(conversation)), id_(id) {}
 
 WireConversation::Exchange::Exchange(Exchange&& other) noexcept
     : conversation_(std::move(other.conversation_)),
       id_(other.id_),
-      exclusive_(std::move(other.exclusive_)),
       sent_at_us_(other.sent_at_us_) {
   other.conversation_.reset();
   other.id_ = 0;
@@ -182,7 +149,6 @@ WireConversation::Exchange& WireConversation::Exchange::operator=(
     close();
     conversation_ = std::move(other.conversation_);
     id_ = other.id_;
-    exclusive_ = std::move(other.exclusive_);
     sent_at_us_ = other.sent_at_us_;
     other.conversation_.reset();
     other.id_ = 0;
@@ -207,7 +173,6 @@ void WireConversation::Exchange::close() noexcept {
     }
     --conversation_->active_;
   }
-  if (exclusive_.owns_lock()) exclusive_.unlock();
   conversation_.reset();
 }
 
@@ -217,10 +182,9 @@ void WireConversation::Exchange::send(std::vector<Frame> frames) {
   const bool timed = obs != nullptr && obs->enabled();
   const std::uint64_t encode_start = timed ? obs->now_us() : 0;
   std::string buffer;
-  const bool multiplexed = conversation_->multiplexed();
   for (Frame& frame : frames) {
-    if (multiplexed) frame.exchange = id_;
-    conversation_->codec_->encode(frame, buffer);
+    frame.exchange = id_;
+    conversation_->codec_.encode(frame, buffer);
   }
   if (timed) obs->record("wire.encode", obs->now_us() - encode_start);
   conversation_->send_buffer(buffer);
@@ -232,9 +196,9 @@ void WireConversation::Exchange::send(Frame frame) {
   obs::Obs* obs = conversation_->obs_;
   const bool timed = obs != nullptr && obs->enabled();
   const std::uint64_t encode_start = timed ? obs->now_us() : 0;
-  if (conversation_->multiplexed()) frame.exchange = id_;
+  frame.exchange = id_;
   std::string buffer;
-  conversation_->codec_->encode(frame, buffer);
+  conversation_->codec_.encode(frame, buffer);
   if (timed) obs->record("wire.encode", obs->now_us() - encode_start);
   conversation_->send_buffer(buffer);
   if (timed) sent_at_us_ = obs->now_us();
@@ -242,9 +206,7 @@ void WireConversation::Exchange::send(Frame frame) {
 
 Frame WireConversation::Exchange::receive() {
   FFSM_EXPECTS(conversation_ != nullptr);
-  Frame frame = conversation_->multiplexed()
-                    ? conversation_->receive_for(id_)
-                    : conversation_->receive_exclusive();
+  Frame frame = conversation_->receive_for(id_);
   if (sent_at_us_ != 0) {
     // Send-to-first-reply: later frames of a streamed reply (serving /
     // response / done) extend the same dialogue, so only the first one

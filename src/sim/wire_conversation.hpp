@@ -1,18 +1,15 @@
 // WireConversation: one negotiated connection, many interleaved exchanges.
 //
 // The parent-side half of exchange multiplexing. A conversation owns a
-// connected LineChannel plus the codec negotiated on it, and hands out
-// Exchange handles — one per request/reply dialogue (a serve batch, a
-// stats query, a top registration). On a multiplexed (binary) wire every
-// exchange gets a fresh nonzero id: sends are whole-buffer atomic under a
-// send lock, and receives cooperate through reader election — whichever
-// exchange thread needs a frame while nobody is reading pulls frames off
-// the wire and routes each to its exchange's inbox by id, waking the
-// waiters. Drains for different tops therefore interleave on a single
-// connection instead of queueing behind one another. On the text wire
-// (which cannot carry exchange ids) open() falls back to handing out the
-// connection exclusively, one exchange at a time — same API, PR-5
-// serialization.
+// connected, negotiated LineChannel plus the codec that reads it, and
+// hands out Exchange handles — one per request/reply dialogue (a serve
+// batch, a stats query, a top registration). Every exchange gets a fresh
+// nonzero id: sends are whole-buffer atomic under a send lock, and
+// receives cooperate through reader election — whichever exchange thread
+// needs a frame while nobody is reading pulls frames off the wire and
+// routes each to its exchange's inbox by id, waking the waiters. Drains
+// for different tops therefore interleave on a single connection instead
+// of queueing behind one another.
 //
 // Failure model: any transport or protocol error poisons the whole
 // conversation — every blocked receive wakes with NetError, subsequent
@@ -40,24 +37,18 @@ namespace ffsm {
 class WireConversation {
  public:
   /// Takes a connected channel whose handshake (negotiation + config +
-  /// tops) already ran, and the codec that negotiation agreed on. `obs`
-  /// (optional) times wire encode/decode and per-exchange round-trips:
+  /// tops) already ran. `obs` (optional) times wire encode/decode and
+  /// per-exchange round-trips:
   /// `wire.encode` — encoding a send buffer; `wire.decode` — pulling and
   /// decoding one frame off the wire (includes time blocked on the peer);
   /// `wire.roundtrip` — an exchange's send to its first reply.
-  WireConversation(net::LineChannel channel, std::unique_ptr<WireCodec> codec,
-                   obs::Obs* obs = nullptr);
+  explicit WireConversation(net::LineChannel channel,
+                            obs::Obs* obs = nullptr);
   ~WireConversation();
 
   WireConversation(const WireConversation&) = delete;
   WireConversation& operator=(const WireConversation&) = delete;
 
-  [[nodiscard]] const char* wire_name() const noexcept {
-    return codec_->name();
-  }
-  [[nodiscard]] bool multiplexed() const noexcept {
-    return codec_->multiplexed();
-  }
   [[nodiscard]] bool poisoned() const;
   /// Exchanges currently open — fail-back and other connection moves are
   /// only safe at zero, when nothing is in flight on the wire.
@@ -88,8 +79,8 @@ class WireConversation {
 
     /// Sends the frames as one buffer, one write — frames of a batch are
     /// contiguous on the wire even while other exchanges interleave
-    /// between batches. Tags every frame with this exchange's id (the
-    /// text wire carries no tag). Throws NetError on a dead conversation.
+    /// between batches. Tags every frame with this exchange's id. Throws
+    /// NetError on a dead conversation.
     void send(std::vector<Frame> frames);
     void send(Frame frame);
 
@@ -102,39 +93,34 @@ class WireConversation {
    private:
     friend class WireConversation;
     Exchange(std::shared_ptr<WireConversation> conversation,
-             std::uint64_t id, std::unique_lock<std::mutex> exclusive);
+             std::uint64_t id);
 
     void close() noexcept;
 
     std::shared_ptr<WireConversation> conversation_;
     std::uint64_t id_ = 0;
-    /// Text wire: the whole connection, held for the exchange's lifetime.
-    std::unique_lock<std::mutex> exclusive_;
     /// Obs timestamp of the last send with no reply seen yet (0 = none);
     /// the first receive after it records one wire.roundtrip sample.
     std::uint64_t sent_at_us_ = 0;
   };
 
-  /// Opens a new exchange. Multiplexed: returns immediately with a fresh
-  /// id. Text: blocks until the connection is free (exchanges serialize).
-  /// Throws NetError when the conversation is poisoned. `self` must own
-  /// this conversation — exchanges keep it alive past a backend's drop.
+  /// Opens a new exchange with a fresh id; never blocks. Throws NetError
+  /// when the conversation is poisoned. `self` must own this
+  /// conversation — exchanges keep it alive past a backend's drop.
   [[nodiscard]] static Exchange open(
       const std::shared_ptr<WireConversation>& self);
 
  private:
   Frame receive_for(std::uint64_t id);
-  Frame receive_exclusive();
   void send_buffer(const std::string& buffer);
   void route_locked(Frame&& frame);
   void poison_locked(const std::string& reason) noexcept;
 
   net::LineChannel channel_;
-  std::unique_ptr<WireCodec> codec_;
+  WireCodec codec_;
   obs::Obs* obs_ = nullptr;
 
   std::mutex send_mutex_;
-  std::mutex exclusive_mutex_;  // text wire: one exchange at a time
 
   mutable std::mutex state_mutex_;
   std::condition_variable frames_ready_;

@@ -1,15 +1,14 @@
-// Wire protocol codec: random requests/responses/stats/configs survive
-// encode -> decode -> encode byte-identically, machine texts are
-// self-contained, tokens escape losslessly, and malformed frames are
-// rejected rather than half-read.
+// Wire protocol codec: every frame type — random requests, responses,
+// stats and configs included — survives encode -> decode -> encode
+// byte-identically and field for field, machine texts are self-contained,
+// tokens escape losslessly, and truncated, corrupted or malformed frames
+// are rejected rather than half-read.
 #include "sim/messages.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -26,8 +25,8 @@ namespace {
 using ffsm::testing::component_partitions;
 using ffsm::testing::counter_pair_product;
 
-/// Client names that stress the token escaping: spaces, '%', newlines,
-/// control bytes, UTF-8, and the empty string.
+/// Client names that stress the string fields and the token escaping:
+/// spaces, '%', newlines, control bytes, UTF-8, and the empty string.
 const char* const kNastyClients[] = {
     "alice", "", "two words", "percent%sign", "tab\tchar", "new\nline",
     "  lead-and-trail  ", "uni\xc3\xa9ode", "%", "%%25", "a\x01b\x7f",
@@ -59,339 +58,122 @@ TEST(WireTokens, MalformedEscapesThrow) {
   EXPECT_THROW((void)unescape_token("trailing%"), ContractViolation);
 }
 
-TEST(WireEnums, NamesRoundTrip) {
-  for (const DescentPolicy p :
-       {DescentPolicy::kFirstFound, DescentPolicy::kFewestBlocks,
-        DescentPolicy::kMostBlocks})
-    EXPECT_EQ(policy_from_name(policy_name(p)), p);
-  for (const CacheEvictionPolicy p :
-       {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch,
-        CacheEvictionPolicy::kUnbounded, CacheEvictionPolicy::kLfuAdmit})
-    EXPECT_EQ(cache_policy_from_name(cache_policy_name(p)), p);
-  EXPECT_THROW((void)policy_from_name("bogus"), ContractViolation);
-  EXPECT_THROW((void)cache_policy_from_name("bogus"), ContractViolation);
+/// Every policy enum value, in the order of its wire byte.
+const DescentPolicy kDescentPolicies[] = {DescentPolicy::kFirstFound,
+                                          DescentPolicy::kFewestBlocks,
+                                          DescentPolicy::kMostBlocks};
+const CacheEvictionPolicy kCachePolicies[] = {
+    CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch,
+    CacheEvictionPolicy::kUnbounded, CacheEvictionPolicy::kLfuAdmit};
+
+/// Little-endian builders for hand-made payloads (malformed-frame tests).
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
 
-// The satellite property: random requests (random partition catalogs,
-// f in {1,2}, every policy, nasty clients) survive encode -> decode ->
-// encode byte-identically, field-for-field.
-TEST(WireRequestCodec, RandomRequestsRoundTripByteIdentically) {
-  Xoshiro256 rng(2024);
-  const DescentPolicy policies[] = {DescentPolicy::kFirstFound,
-                                    DescentPolicy::kFewestBlocks,
-                                    DescentPolicy::kMostBlocks};
-  for (int iter = 0; iter < 200; ++iter) {
-    WireRequest original;
-    original.ticket = rng();
-    original.client =
-        kNastyClients[rng.below(std::size(kNastyClients))];
-    original.request.f = 1 + static_cast<std::uint32_t>(rng.below(2));
-    original.request.policy = policies[rng.below(3)];
-    const std::uint32_t states =
-        2 + static_cast<std::uint32_t>(rng.below(30));
-    const std::size_t originals = rng.below(5);
-    for (std::size_t i = 0; i < originals; ++i)
-      original.request.originals.push_back(random_partition(states, rng));
+void put_str(std::string& out, std::string_view s) {
+  put_le(out, s.size(), 4);
+  out.append(s);
+}
 
-    const std::string text = encode_request(original);
-    const WireRequest back = decode_request(text);
-    EXPECT_EQ(back.ticket, original.ticket);
-    EXPECT_EQ(back.client, original.client);
-    EXPECT_EQ(back.request.f, original.request.f);
-    EXPECT_EQ(back.request.policy, original.request.policy);
-    EXPECT_EQ(back.request.originals, original.request.originals);
-    EXPECT_EQ(encode_request(back), text) << text;
+/// A complete frame around an arbitrary payload: the header is always
+/// well-formed, so decode failures come from the payload alone.
+std::string raw_frame(FrameType type, const std::string& payload) {
+  std::string out;
+  put_le(out, payload.size(), 4);
+  put_le(out, static_cast<std::uint8_t>(type), 1);
+  put_le(out, 0, 3);
+  put_le(out, 1, 8);
+  return out + payload;
+}
+
+/// `bytes` with its payload shortened (or grown) by `delta` bytes and the
+/// header's length patched to match — a frame whose envelope is intact
+/// but whose payload lost (or gained) trailing fields.
+std::string resized_payload(std::string bytes, int delta) {
+  const std::size_t payload = bytes.size() - 16 + delta;
+  if (delta < 0)
+    bytes.resize(bytes.size() - static_cast<std::size_t>(-delta));
+  else
+    bytes.append(static_cast<std::size_t>(delta), '\0');
+  std::string header;
+  put_le(header, payload, 4);
+  bytes.replace(0, 4, header);
+  return bytes;
+}
+
+/// Field-for-field equality of two frames (Frame has no operator==); on
+/// top of byte-identical re-encoding this pins what the decoder hands to
+/// callers, not just what it would send back.
+void expect_same_frame(const Frame& a, const Frame& b) {
+  const char* const what = frame_type_name(a.type);
+  EXPECT_EQ(a.type, b.type) << what;
+  EXPECT_EQ(a.exchange, b.exchange) << what;
+  EXPECT_EQ(a.key, b.key) << what;
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(a.parent, b.parent) << what;
+  EXPECT_EQ(a.text, b.text) << what;
+  EXPECT_EQ(a.request.ticket, b.request.ticket) << what;
+  EXPECT_EQ(a.request.client, b.request.client) << what;
+  EXPECT_EQ(a.request.request.f, b.request.request.f) << what;
+  EXPECT_EQ(a.request.request.policy, b.request.request.policy) << what;
+  EXPECT_EQ(a.request.request.originals, b.request.request.originals)
+      << what;
+  EXPECT_EQ(a.response.ticket, b.response.ticket) << what;
+  EXPECT_EQ(a.response.client, b.response.client) << what;
+  EXPECT_EQ(a.response.result.partitions, b.response.result.partitions)
+      << what;
+  const GenerateStats& sa = a.response.result.stats;
+  const GenerateStats& sb = b.response.result.stats;
+  EXPECT_EQ(sa.machines_added, sb.machines_added) << what;
+  EXPECT_EQ(sa.descent_steps, sb.descent_steps) << what;
+  EXPECT_EQ(sa.candidates_examined, sb.candidates_examined) << what;
+  EXPECT_EQ(sa.closures_evaluated, sb.closures_evaluated) << what;
+  EXPECT_EQ(sa.cover_cache_hits, sb.cover_cache_hits) << what;
+  EXPECT_EQ(sa.graph_edges_examined, sb.graph_edges_examined) << what;
+  EXPECT_EQ(sa.speculative_covers_launched, sb.speculative_covers_launched)
+      << what;
+  EXPECT_EQ(sa.speculation_hits, sb.speculation_hits) << what;
+  EXPECT_EQ(sa.speculation_wasted_closures, sb.speculation_wasted_closures)
+      << what;
+  EXPECT_EQ(sa.dmin_before, sb.dmin_before) << what;
+  EXPECT_EQ(sa.dmin_after, sb.dmin_after) << what;
+#define FFSM_STATS_EXPECT_EQ(name, agg) \
+  EXPECT_EQ(a.stats.name, b.stats.name) << what << " " #name;
+  FFSM_SERVICE_STATS_COUNTERS(FFSM_STATS_EXPECT_EQ)
+#undef FFSM_STATS_EXPECT_EQ
+  EXPECT_EQ(a.config.parallel, b.config.parallel) << what;
+  EXPECT_EQ(a.config.threads, b.config.threads) << what;
+  EXPECT_EQ(a.config.incremental, b.config.incremental) << what;
+  EXPECT_EQ(a.config.cache_config.policy, b.config.cache_config.policy)
+      << what;
+  EXPECT_EQ(a.config.cache_config.capacity, b.config.cache_config.capacity)
+      << what;
+  EXPECT_EQ(a.config.speculation_lookahead, b.config.speculation_lookahead)
+      << what;
+  ASSERT_EQ(a.entries.size(), b.entries.size()) << what;
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    EXPECT_EQ(a.entries[i].key, b.entries[i].key) << what << " entry " << i;
+    EXPECT_EQ(a.entries[i].cover, b.entries[i].cover)
+        << what << " entry " << i;
   }
+  EXPECT_EQ(a.obs, b.obs) << what;
 }
 
-TEST(WireResponseCodec, RandomResponsesRoundTripByteIdentically) {
-  Xoshiro256 rng(7);
-  for (int iter = 0; iter < 200; ++iter) {
-    FusionResponse original;
-    original.ticket = rng();
-    original.client =
-        kNastyClients[rng.below(std::size(kNastyClients))];
-    const std::uint32_t states =
-        2 + static_cast<std::uint32_t>(rng.below(30));
-    const std::size_t machines = rng.below(4);
-    for (std::size_t i = 0; i < machines; ++i)
-      original.result.partitions.push_back(random_partition(states, rng));
-    GenerateStats& s = original.result.stats;
-    s.machines_added = static_cast<std::uint32_t>(rng.below(100));
-    s.descent_steps = static_cast<std::uint32_t>(rng.below(100));
-    s.candidates_examined = rng();
-    s.closures_evaluated = rng();
-    s.cover_cache_hits = rng();
-    s.graph_edges_examined = rng();
-    s.speculative_covers_launched = rng();
-    s.speculation_hits = rng();
-    s.speculation_wasted_closures = rng();
-    s.dmin_before = static_cast<std::uint32_t>(rng.below(10));
-    s.dmin_after = static_cast<std::uint32_t>(rng.below(10));
-
-    const std::string text = encode_response(original);
-    const FusionResponse back = decode_response(text);
-    EXPECT_EQ(back.ticket, original.ticket);
-    EXPECT_EQ(back.client, original.client);
-    EXPECT_EQ(back.result.partitions, original.result.partitions);
-    EXPECT_EQ(back.result.stats.machines_added, s.machines_added);
-    EXPECT_EQ(back.result.stats.candidates_examined, s.candidates_examined);
-    EXPECT_EQ(back.result.stats.speculative_covers_launched,
-              s.speculative_covers_launched);
-    EXPECT_EQ(back.result.stats.speculation_hits, s.speculation_hits);
-    EXPECT_EQ(back.result.stats.speculation_wasted_closures,
-              s.speculation_wasted_closures);
-    EXPECT_EQ(back.result.stats.dmin_after, s.dmin_after);
-    EXPECT_EQ(encode_response(back), text) << text;
-  }
+/// encode -> decode -> encode: byte-identical and field-for-field.
+void expect_round_trip(const Frame& frame) {
+  const WireCodec codec;
+  const std::string bytes = codec.encode(frame);
+  const Frame back = codec.decode(bytes);
+  expect_same_frame(back, frame);
+  EXPECT_EQ(codec.encode(back), bytes) << frame_type_name(frame.type);
 }
 
-TEST(WireResponseCodec, RealGeneratedFusionRoundTrips) {
-  // Not synthetic: an actual Algorithm 2 result over a catalog product.
-  const CrossProduct product = counter_pair_product(4);
-  const std::vector<Partition> originals = component_partitions(product);
-  GenerateOptions options;
-  options.f = 2;
-  options.parallel = false;
-  const FusionResult result =
-      generate_fusion(product.top, originals, options);
-  ASSERT_FALSE(result.partitions.empty());
-
-  FusionResponse response{42, "tenant 0", result};
-  const std::string text = encode_response(response);
-  const FusionResponse back = decode_response(text);
-  EXPECT_EQ(back.result.partitions, result.partitions);
-  EXPECT_EQ(back.result.stats.machines_added, result.stats.machines_added);
-  EXPECT_EQ(encode_response(back), text);
-}
-
-TEST(WireStatsCodec, RandomStatsRoundTripByteIdentically) {
-  Xoshiro256 rng(99);
-  for (int iter = 0; iter < 100; ++iter) {
-    ServiceStats original;
-    original.requests_submitted = rng();
-    original.requests_served = rng();
-    original.batches_served = rng();
-    original.speculative_covers_launched = rng();
-    original.speculation_hits = rng();
-    original.speculation_wasted_closures = rng();
-    original.restarts = rng();
-    original.failovers = rng();
-    original.health_probes_failed = rng();
-    original.cache_hits = rng();
-    original.cache_cold_misses = rng();
-    original.cache_eviction_misses = rng();
-    original.cache_evictions = rng();
-    original.cache_entries = static_cast<std::size_t>(rng.below(1 << 20));
-    original.cache_bytes = static_cast<std::size_t>(rng.below(1 << 30));
-    original.cache_admission_rejects = rng();
-    original.cache_sketch_bytes = static_cast<std::size_t>(rng.below(1 << 20));
-
-    const std::string text = encode_stats(original);
-    const ServiceStats back = decode_stats(text);
-    EXPECT_EQ(back.requests_submitted, original.requests_submitted);
-    EXPECT_EQ(back.speculative_covers_launched,
-              original.speculative_covers_launched);
-    EXPECT_EQ(back.speculation_hits, original.speculation_hits);
-    EXPECT_EQ(back.speculation_wasted_closures,
-              original.speculation_wasted_closures);
-    EXPECT_EQ(back.restarts, original.restarts);
-    EXPECT_EQ(back.failovers, original.failovers);
-    EXPECT_EQ(back.health_probes_failed, original.health_probes_failed);
-    EXPECT_EQ(back.cache_eviction_misses, original.cache_eviction_misses);
-    EXPECT_EQ(back.cache_bytes, original.cache_bytes);
-    EXPECT_EQ(back.cache_admission_rejects, original.cache_admission_rejects);
-    EXPECT_EQ(back.cache_sketch_bytes, original.cache_sketch_bytes);
-    EXPECT_EQ(encode_stats(back), text);
-  }
-}
-
-TEST(WireConfigCodec, AllCachePoliciesRoundTripByteIdentically) {
-  for (const CacheEvictionPolicy policy :
-       {CacheEvictionPolicy::kLru, CacheEvictionPolicy::kEpoch,
-        CacheEvictionPolicy::kUnbounded, CacheEvictionPolicy::kLfuAdmit})
-    for (const bool parallel : {false, true})
-      for (const bool incremental : {false, true}) {
-        ShardServiceConfig original;
-        original.parallel = parallel;
-        original.threads = parallel ? 4 : 0;
-        original.incremental = incremental;
-        original.cache_config = {policy, 17};
-        original.speculation_lookahead = parallel ? 3 : 0;
-        const std::string text = encode_config(original);
-        const ShardServiceConfig back = decode_config(text);
-        EXPECT_EQ(back.parallel, original.parallel);
-        EXPECT_EQ(back.threads, original.threads);
-        EXPECT_EQ(back.incremental, original.incremental);
-        EXPECT_EQ(back.cache_config.policy, original.cache_config.policy);
-        EXPECT_EQ(back.cache_config.capacity,
-                  original.cache_config.capacity);
-        EXPECT_EQ(back.speculation_lookahead,
-                  original.speculation_lookahead);
-        EXPECT_EQ(encode_config(back), text);
-      }
-}
-
-TEST(WireCodec, MalformedFramesThrow) {
-  const WireRequest request{1, "c", {{Partition::identity(3)}, 1}};
-  const std::string good = encode_request(request);
-  // Truncation (no 'end'), trailing garbage, unknown directives, missing
-  // mandatory fields.
-  EXPECT_THROW((void)decode_request(good.substr(0, good.size() - 4)),
-               ContractViolation);
-  EXPECT_THROW((void)decode_request(good + "junk\n"), ContractViolation);
-  EXPECT_THROW((void)decode_request("bogus 1 c\nend\n"), ContractViolation);
-  EXPECT_THROW((void)decode_request("request 1 c\npolicy fewest_blocks\nend\n"),
-               ContractViolation);
-  EXPECT_THROW((void)decode_request("request 1 c\nf 1\nend\n"),
-               ContractViolation);
-  EXPECT_THROW((void)decode_request(""), ContractViolation);
-
-  FusionResponse response{1, "c", {}};
-  const std::string good_response = encode_response(response);
-  EXPECT_THROW((void)decode_response("response 1 c\nend\n"),
-               ContractViolation);  // missing stats
-  EXPECT_THROW(
-      (void)decode_response(good_response.substr(0, good_response.size() - 4)),
-      ContractViolation);
-
-  EXPECT_THROW((void)decode_stats("stats\nend\n"), ContractViolation);
-  EXPECT_THROW((void)decode_config("config\nparallel 2\nend\n"),
-               ContractViolation);
-  EXPECT_THROW((void)decode_config("config\nend\n"), ContractViolation);
-
-  // A duplicated counter must not mask a missing one: replacing the
-  // cache_bytes line of a valid stats frame with a second restarts line
-  // keeps the line count right but must still throw.
-  const std::string stats_text = encode_stats(ServiceStats{});
-  const auto bytes_at = stats_text.find("cache_bytes 0\n");
-  ASSERT_NE(bytes_at, std::string::npos);
-  std::string duplicated = stats_text;
-  duplicated.replace(bytes_at, std::strlen("cache_bytes 0"), "restarts 0");
-  EXPECT_THROW((void)decode_stats(duplicated), ContractViolation);
-  // Same for the speculation counters: a duplicated launched line standing
-  // in for a missing hits line keeps the line count right but must throw.
-  const auto hits_at = stats_text.find("speculation_hits 0\n");
-  ASSERT_NE(hits_at, std::string::npos);
-  std::string dup_spec = stats_text;
-  dup_spec.replace(hits_at, std::strlen("speculation_hits 0"),
-                   "speculative_covers_launched 0");
-  EXPECT_THROW((void)decode_stats(dup_spec), ContractViolation);
-  // And for the admission counters added with the cache tentpole: a
-  // duplicated rejects line standing in for the sketch-bytes line keeps
-  // the line count right but must still throw.
-  const auto sketch_at = stats_text.find("cache_sketch_bytes 0\n");
-  ASSERT_NE(sketch_at, std::string::npos);
-  std::string dup_admit = stats_text;
-  dup_admit.replace(sketch_at, std::strlen("cache_sketch_bytes 0"),
-                    "cache_admission_rejects 0");
-  EXPECT_THROW((void)decode_stats(dup_admit), ContractViolation);
-  const std::string config_text = encode_config(ShardServiceConfig{});
-  std::string duplicated_config = config_text;
-  const auto threads_at = duplicated_config.find("threads 0\n");
-  ASSERT_NE(threads_at, std::string::npos);
-  duplicated_config.replace(threads_at, std::strlen("threads 0"),
-                            "parallel 1");
-  EXPECT_THROW((void)decode_config(duplicated_config), ContractViolation);
-}
-
-// The trust boundary once frames arrive from the network: decode of a
-// damaged encoding must either throw a clean ContractViolation or decode
-// to a message whose re-encode is well-formed — never crash, never
-// half-apply, never escape a foreign exception type. Exercised for every
-// frame type, under every truncation point and under random single-byte
-// corruption. (Runs under ASan in CI, so "never crash" is load-bearing.)
-TEST(WireCodecRobustness, TruncationsAndCorruptionsOfEveryFrameTypeAreClean) {
-  Xoshiro256 rng(4242);
-
-  WireRequest request;
-  request.ticket = 77;
-  request.client = "two words";  // escaped token on the wire
-  request.request.f = 2;
-  request.request.policy = DescentPolicy::kMostBlocks;
-  request.request.originals.push_back(random_partition(6, rng));
-  request.request.originals.push_back(random_partition(6, rng));
-
-  FusionResponse response;
-  response.ticket = 78;
-  response.client = "uni\xc3\xa9ode";
-  response.result.partitions.push_back(random_partition(6, rng));
-  response.result.stats.machines_added = 2;
-  response.result.stats.dmin_after = 3;
-
-  ServiceStats stats;
-  stats.requests_served = 5;
-  stats.restarts = 1;
-  stats.failovers = 2;
-  stats.health_probes_failed = 3;
-  stats.cache_bytes = 4096;
-
-  ShardServiceConfig config;
-  config.threads = 8;
-  config.cache_config = {CacheEvictionPolicy::kEpoch, 9};
-
-  struct FrameType {
-    const char* name;
-    std::string text;
-    std::function<void(std::string_view)> decode;
-  };
-  const FrameType frames[] = {
-      {"request", encode_request(request),
-       [](std::string_view t) { (void)decode_request(t); }},
-      {"response", encode_response(response),
-       [](std::string_view t) { (void)decode_response(t); }},
-      {"stats", encode_stats(stats),
-       [](std::string_view t) { (void)decode_stats(t); }},
-      {"config", encode_config(config),
-       [](std::string_view t) { (void)decode_config(t); }},
-  };
-
-  // `damaged` must throw ContractViolation or decode cleanly; returns
-  // whether it threw, and fails the test on any other outcome.
-  const auto survives = [](const FrameType& frame,
-                           const std::string& damaged) -> bool {
-    try {
-      frame.decode(damaged);
-      return false;
-    } catch (const ContractViolation&) {
-      return true;  // the clean parse error
-    } catch (const std::exception& error) {
-      ADD_FAILURE() << frame.name << ": foreign exception '" << error.what()
-                    << "' for input:\n"
-                    << damaged;
-      return true;
-    }
-  };
-
-  for (const FrameType& frame : frames) {
-    // Every strict prefix: the only acceptable non-throwing case is the
-    // one that merely lost the trailing newline of the `end` line (the
-    // message is still complete); everything shorter must throw.
-    for (std::size_t len = 0; len < frame.text.size(); ++len) {
-      const std::string prefix = frame.text.substr(0, len);
-      const bool threw = survives(frame, prefix);
-      if (len + 1 < frame.text.size()) {
-        EXPECT_TRUE(threw) << frame.name << " truncated to " << len
-                           << " bytes decoded as if complete";
-      }
-    }
-    // Random single-byte corruption: 300 trials of flip-one-byte. Many
-    // corruptions still parse (a digit changed inside a counter); the
-    // property is that none crashes or escapes a foreign exception.
-    for (int trial = 0; trial < 300; ++trial) {
-      std::string corrupted = frame.text;
-      const std::size_t pos = rng.below(corrupted.size());
-      const char byte = static_cast<char>(rng.below(256));
-      if (corrupted[pos] == byte) continue;
-      corrupted[pos] = byte;
-      (void)survives(frame, corrupted);
-    }
-  }
-}
-
-/// One sample Frame per FrameType, every meaningful field populated and a
-/// distinct nonzero exchange id — the corpus for the binary-framing
-/// robustness properties below.
+/// At least one sample Frame per FrameType, every meaningful field
+/// populated and a distinct nonzero exchange id — the corpus for the
+/// round-trip and robustness properties below. Covers every enum value
+/// the payloads carry and every kNastyClients string.
 std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
   std::vector<Frame> frames;
   std::uint64_t exchange = 0x1000;
@@ -404,10 +186,13 @@ std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
   };
   add(FrameType::kOk);
   add(FrameType::kError).text = "worker failed: two words\nand a newline";
-  {
+  for (const CacheEvictionPolicy policy : kCachePolicies) {
     Frame& config = add(FrameType::kConfig);
+    config.config.parallel = policy != CacheEvictionPolicy::kLru;
     config.config.threads = 8;
-    config.config.cache_config = {CacheEvictionPolicy::kEpoch, 9};
+    config.config.incremental = policy != CacheEvictionPolicy::kEpoch;
+    config.config.cache_config = {policy, 9};
+    config.config.speculation_lookahead = 3;
   }
   {
     Frame& top = add(FrameType::kTop);
@@ -420,22 +205,26 @@ std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
     serve.count = 3;
     serve.parent = 0xfeed'beef;  // the v5 cross-process stitching id
   }
-  {
+  // One request and one response per nasty client name, the requests
+  // cycling through every descent policy.
+  for (std::size_t i = 0; i < std::size(kNastyClients); ++i) {
     Frame& request = add(FrameType::kRequest);
-    request.request.ticket = 77;
-    request.request.client = "uni\xc3\xa9ode client";
-    request.request.request.f = 2;
-    request.request.request.policy = DescentPolicy::kMostBlocks;
+    request.request.ticket = 77 + i;
+    request.request.client = kNastyClients[i];
+    request.request.request.f = 1 + static_cast<std::uint32_t>(i % 2);
+    request.request.request.policy =
+        kDescentPolicies[i % std::size(kDescentPolicies)];
     request.request.request.originals.push_back(random_partition(6, rng));
     request.request.request.originals.push_back(random_partition(6, rng));
   }
   add(FrameType::kServing).count = 3;
-  {
+  for (std::size_t i = 0; i < std::size(kNastyClients); ++i) {
     Frame& response = add(FrameType::kResponse);
-    response.response.ticket = 78;
-    response.response.client = "  lead-and-trail  ";
+    response.response.ticket = 78 + i;
+    response.response.client = kNastyClients[i];
     response.response.result.partitions.push_back(random_partition(6, rng));
     response.response.result.stats.machines_added = 2;
+    response.response.result.stats.speculation_hits = 5 + i;
     response.response.result.stats.dmin_after = 3;
   }
   add(FrameType::kDone);
@@ -470,8 +259,8 @@ std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
   }
   {
     // Both halves of the obs exchange: the query (empty snapshot) and a
-    // populated reply — counters, a sparse histogram and spans whose tag
-    // strings need escaping (or are empty, the "%" token).
+    // populated reply — counters, signed gauges, a sparse histogram and
+    // spans whose tag strings hold spaces or are empty.
     add(FrameType::kObs);
     Frame& obs = add(FrameType::kObs);
     obs.obs.counters["requests"] = 12;
@@ -508,39 +297,216 @@ std::vector<Frame> binary_sample_frames(Xoshiro256& rng) {
   return frames;
 }
 
-// The binary framing's round-trip property: every frame type survives
-// encode -> decode -> encode byte-identically, exchange tag included —
-// the bit-identity half of what the bench asserts end to end.
-TEST(WireCodecRobustness, BinaryFramesRoundTripByteIdentically) {
-  Xoshiro256 rng(99);
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(true);
-  EXPECT_STREQ(codec->name(), "bin");
-  EXPECT_TRUE(codec->multiplexed());
-  for (const Frame& frame : binary_sample_frames(rng)) {
-    const std::string bytes = codec->encode(frame);
-    const Frame back = codec->decode(bytes);
-    EXPECT_EQ(back.type, frame.type) << frame_type_name(frame.type);
-    EXPECT_EQ(back.exchange, frame.exchange) << frame_type_name(frame.type);
-    EXPECT_EQ(codec->encode(back), bytes) << frame_type_name(frame.type);
+// The enums travel as one byte each: every value round-trips, and a byte
+// past the last value is rejected instead of decoding as some default.
+TEST(WireEnums, EveryPolicyRoundTripsAndUnknownBytesThrow) {
+  const WireCodec codec;
+  for (const DescentPolicy policy : kDescentPolicies) {
+    Frame frame;
+    frame.type = FrameType::kRequest;
+    frame.request.request.policy = policy;
+    EXPECT_EQ(codec.decode(codec.encode(frame)).request.request.policy,
+              policy);
+  }
+  for (const CacheEvictionPolicy policy : kCachePolicies) {
+    Frame frame;
+    frame.type = FrameType::kConfig;
+    frame.config.cache_config.policy = policy;
+    EXPECT_EQ(codec.decode(codec.encode(frame)).config.cache_config.policy,
+              policy);
+  }
+  // kRequest: u64 ticket, str client (empty: 4 bytes), u32 f, u8 policy.
+  Frame request;
+  request.type = FrameType::kRequest;
+  std::string bytes = codec.encode(request);
+  bytes[16 + 8 + 4 + 4] = 3;
+  EXPECT_THROW((void)codec.decode(bytes), ContractViolation);
+  // kConfig: u8 parallel, u64 threads, u8 incremental, u8 cache_policy.
+  Frame config;
+  config.type = FrameType::kConfig;
+  bytes = codec.encode(config);
+  bytes[16 + 1 + 8 + 1] = 4;
+  EXPECT_THROW((void)codec.decode(bytes), ContractViolation);
+}
+
+// Random requests (random partition catalogs, f in {1,2}, every policy,
+// nasty clients) survive encode -> decode -> encode byte-identically,
+// field-for-field.
+TEST(WireRequestCodec, RandomRequestsRoundTripByteIdentically) {
+  Xoshiro256 rng(2024);
+  for (int iter = 0; iter < 200; ++iter) {
+    Frame frame;
+    frame.type = FrameType::kRequest;
+    frame.exchange = rng();
+    WireRequest& original = frame.request;
+    original.ticket = rng();
+    original.client =
+        kNastyClients[rng.below(std::size(kNastyClients))];
+    original.request.f = 1 + static_cast<std::uint32_t>(rng.below(2));
+    original.request.policy = kDescentPolicies[rng.below(3)];
+    const std::uint32_t states =
+        2 + static_cast<std::uint32_t>(rng.below(30));
+    const std::size_t originals = rng.below(5);
+    for (std::size_t i = 0; i < originals; ++i)
+      original.request.originals.push_back(random_partition(states, rng));
+    expect_round_trip(frame);
   }
 }
 
-// The binary trust boundary, mirroring the text-codec property above:
-// decode of damaged bytes must throw a clean ContractViolation or decode
-// to a frame that re-encodes — never crash, never escape a foreign
-// exception. Binary is stricter than text: EVERY truncation throws (the
-// length prefix makes "complete" unambiguous), as do trailing garbage,
-// nonzero reserved header bytes and unknown frame types. (Runs under
-// ASan in CI, so "never crash" is load-bearing.)
+TEST(WireResponseCodec, RandomResponsesRoundTripByteIdentically) {
+  Xoshiro256 rng(7);
+  for (int iter = 0; iter < 200; ++iter) {
+    Frame frame;
+    frame.type = FrameType::kResponse;
+    frame.exchange = rng();
+    FusionResponse& original = frame.response;
+    original.ticket = rng();
+    original.client =
+        kNastyClients[rng.below(std::size(kNastyClients))];
+    const std::uint32_t states =
+        2 + static_cast<std::uint32_t>(rng.below(30));
+    const std::size_t machines = rng.below(4);
+    for (std::size_t i = 0; i < machines; ++i)
+      original.result.partitions.push_back(random_partition(states, rng));
+    GenerateStats& s = original.result.stats;
+    s.machines_added = static_cast<std::uint32_t>(rng.below(100));
+    s.descent_steps = static_cast<std::uint32_t>(rng.below(100));
+    s.candidates_examined = rng();
+    s.closures_evaluated = rng();
+    s.cover_cache_hits = rng();
+    s.graph_edges_examined = rng();
+    s.speculative_covers_launched = rng();
+    s.speculation_hits = rng();
+    s.speculation_wasted_closures = rng();
+    s.dmin_before = static_cast<std::uint32_t>(rng.below(10));
+    s.dmin_after = static_cast<std::uint32_t>(rng.below(10));
+    expect_round_trip(frame);
+  }
+}
+
+TEST(WireResponseCodec, RealGeneratedFusionRoundTrips) {
+  // Not synthetic: an actual Algorithm 2 result over a catalog product.
+  const CrossProduct product = counter_pair_product(4);
+  const std::vector<Partition> originals = component_partitions(product);
+  GenerateOptions options;
+  options.f = 2;
+  options.parallel = false;
+  const FusionResult result =
+      generate_fusion(product.top, originals, options);
+  ASSERT_FALSE(result.partitions.empty());
+
+  Frame frame;
+  frame.type = FrameType::kResponse;
+  frame.response = {42, "tenant 0", result};
+  expect_round_trip(frame);
+}
+
+TEST(WireStatsCodec, RandomStatsRoundTripByteIdentically) {
+  Xoshiro256 rng(99);
+  for (int iter = 0; iter < 100; ++iter) {
+    Frame frame;
+    frame.type = FrameType::kStats;
+    ServiceStats& original = frame.stats;
+    original.requests_submitted = rng();
+    original.requests_served = rng();
+    original.batches_served = rng();
+    original.speculative_covers_launched = rng();
+    original.speculation_hits = rng();
+    original.speculation_wasted_closures = rng();
+    original.restarts = rng();
+    original.failovers = rng();
+    original.health_probes_failed = rng();
+    original.cache_hits = rng();
+    original.cache_cold_misses = rng();
+    original.cache_eviction_misses = rng();
+    original.cache_evictions = rng();
+    original.cache_entries = static_cast<std::size_t>(rng.below(1 << 20));
+    original.cache_bytes = static_cast<std::size_t>(rng.below(1 << 30));
+    original.cache_admission_rejects = rng();
+    original.cache_sketch_bytes = static_cast<std::size_t>(rng.below(1 << 20));
+    expect_round_trip(frame);
+  }
+}
+
+TEST(WireConfigCodec, AllCachePoliciesRoundTripByteIdentically) {
+  for (const CacheEvictionPolicy policy : kCachePolicies)
+    for (const bool parallel : {false, true})
+      for (const bool incremental : {false, true}) {
+        Frame frame;
+        frame.type = FrameType::kConfig;
+        ShardServiceConfig& original = frame.config;
+        original.parallel = parallel;
+        original.threads = parallel ? 4 : 0;
+        original.incremental = incremental;
+        original.cache_config = {policy, 17};
+        original.speculation_lookahead = parallel ? 3 : 0;
+        expect_round_trip(frame);
+      }
+}
+
+// A frame whose envelope is intact but whose payload is missing a
+// mandatory field, carries extra fields, or holds an out-of-range value
+// must throw — never decode with the missing field defaulted.
+TEST(WireCodec, MalformedFramesThrow) {
+  const WireCodec codec;
+  EXPECT_THROW((void)codec.decode(""), ContractViolation);
+  Xoshiro256 rng(5);
+  for (const Frame& frame : binary_sample_frames(rng)) {
+    const std::string good = codec.encode(frame);
+    if (good.size() > 16) {
+      EXPECT_THROW((void)codec.decode(resized_payload(good, -1)),
+                   ContractViolation)
+          << frame_type_name(frame.type) << " lost its last payload byte";
+    }
+    EXPECT_THROW((void)codec.decode(resized_payload(good, 1)),
+                 ContractViolation)
+        << frame_type_name(frame.type) << " carried a trailing payload byte";
+  }
+  // The stats frame is a fixed count of u64 counters: one short throws.
+  Frame stats;
+  stats.type = FrameType::kStats;
+  EXPECT_THROW((void)codec.decode(resized_payload(codec.encode(stats), -8)),
+               ContractViolation);
+  // Booleans are 0/1 bytes: config's `parallel` = 2 is rejected.
+  Frame config;
+  config.type = FrameType::kConfig;
+  std::string bad_bool = codec.encode(config);
+  bad_bool[16] = 2;
+  EXPECT_THROW((void)codec.decode(bad_bool), ContractViolation);
+  // A string or partition length pointing past the payload end.
+  Frame top;
+  top.type = FrameType::kTop;
+  top.key = "k";
+  std::string long_key = codec.encode(top);
+  long_key[16] = 9;
+  EXPECT_THROW((void)codec.decode(long_key), ContractViolation);
+}
+
+// The framing's round-trip property: every frame type survives
+// encode -> decode -> encode byte-identically and field for field,
+// exchange tag included — the bit-identity half of what the bench asserts
+// end to end.
+TEST(WireCodecRobustness, BinaryFramesRoundTripByteIdentically) {
+  Xoshiro256 rng(99);
+  for (const Frame& frame : binary_sample_frames(rng)) expect_round_trip(frame);
+}
+
+// The trust boundary once frames arrive from the network: decode of
+// damaged bytes must throw a clean ContractViolation or decode to a frame
+// that re-encodes — never crash, never half-apply, never escape a foreign
+// exception. EVERY truncation throws (the length prefix makes "complete"
+// unambiguous), as do trailing garbage, nonzero reserved header bytes and
+// unknown frame types. (Runs under ASan in CI, so "never crash" is
+// load-bearing.)
 TEST(WireCodecRobustness, BinaryTruncationsAndCorruptionsAreClean) {
   Xoshiro256 rng(4243);
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(true);
+  const WireCodec codec;
 
   const auto survives = [&](const Frame& frame,
                             const std::string& damaged) -> bool {
     try {
-      const Frame decoded = codec->decode(damaged);
-      (void)codec->encode(decoded);  // whatever decodes must re-encode
+      const Frame decoded = codec.decode(damaged);
+      (void)codec.encode(decoded);  // whatever decodes must re-encode
       return false;
     } catch (const ContractViolation&) {
       return true;  // the clean parse error
@@ -552,7 +518,7 @@ TEST(WireCodecRobustness, BinaryTruncationsAndCorruptionsAreClean) {
   };
 
   for (const Frame& frame : binary_sample_frames(rng)) {
-    const std::string bytes = codec->encode(frame);
+    const std::string bytes = codec.encode(frame);
     // Every strict prefix throws: the 16-byte header carries the payload
     // length, so a short buffer is always detectably incomplete.
     for (std::size_t len = 0; len < bytes.size(); ++len)
@@ -593,229 +559,105 @@ TEST(WireCodecRobustness, BinaryTruncationsAndCorruptionsAreClean) {
   }
 }
 
-// The text codec through the same WireCodec interface: no exchange ids
-// (encoding a tagged frame is a contract violation — the caller must not
-// silently lose the tag), canonical re-encode, and the deprecated free
-// functions delegate to it byte-identically.
-TEST(WireCodecRobustness, TextCodecMatchesFreeFunctions) {
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-  EXPECT_STREQ(codec->name(), "text");
-  EXPECT_FALSE(codec->multiplexed());
-
-  Frame frame;
-  frame.type = FrameType::kRequest;
-  frame.request.ticket = 12;
-  frame.request.client = "two words";
-  frame.request.request.f = 1;
-  frame.request.request.originals.push_back(Partition::identity(4));
-  EXPECT_EQ(codec->encode(frame), encode_request(frame.request));
-
-  frame.exchange = 7;  // text cannot carry the tag
-  EXPECT_THROW((void)codec->encode(frame), ContractViolation);
-}
-
-// The serve frame on the text wire: v5 grew the parent span id (the
-// cross-process trace stitching handle), so the line is now
-// `serve <key> <count> <parent>` — it must round-trip, and the v4 shape
-// without the parent must throw rather than decode as parent 0.
-TEST(WireServeCodec, TextFrameCarriesParentSpanId) {
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
+// The serve frame grew the parent span id in hello v5 (the cross-process
+// trace stitching handle): it must round-trip, and the v4 shape without
+// it must throw rather than decode as parent 0.
+TEST(WireServeCodec, FrameCarriesParentSpanId) {
   Frame serve;
   serve.type = FrameType::kServe;
-  serve.key = "two words";  // escaped token on the wire
+  serve.key = "two words";
   serve.count = 5;
   serve.parent = 0xfeed;
-  const std::string text = codec->encode(serve);
-  const Frame back = codec->decode(text);
-  EXPECT_EQ(back.type, FrameType::kServe);
-  EXPECT_EQ(back.key, serve.key);
-  EXPECT_EQ(back.count, serve.count);
-  EXPECT_EQ(back.parent, serve.parent);
-  EXPECT_EQ(codec->encode(back), text);
-  EXPECT_THROW((void)codec->decode("serve k 3\n"), ContractViolation);
-}
-
-// The warm-handoff frame on the text wire: query and import round-trip
-// byte-identically through the codec interface (there is no deprecated
-// free-function pair for this frame type).
-TEST(WireCacheWarmCodec, TextFramesRoundTripByteIdentically) {
-  Xoshiro256 rng(7);
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-
-  Frame query;
-  query.type = FrameType::kCacheWarm;
-  query.key = "two words";  // escaped token on the wire
-  query.count = 64;
-  const std::string query_text = codec->encode(query);
-  const Frame query_back = codec->decode(query_text);
-  EXPECT_EQ(query_back.type, FrameType::kCacheWarm);
-  EXPECT_EQ(query_back.key, query.key);
-  EXPECT_EQ(query_back.count, query.count);
-  EXPECT_TRUE(query_back.entries.empty());
-  EXPECT_EQ(codec->encode(query_back), query_text);
-
-  Frame warm;
-  warm.type = FrameType::kCacheWarm;
-  warm.key = "counters-10";
-  warm.count = 2;
-  for (int i = 0; i < 2; ++i) {
-    WarmCacheEntry entry;
-    entry.key = random_partition(6, rng);
-    for (int c = 0; c <= i; ++c)
-      entry.cover.push_back(random_partition(6, rng));
-    warm.entries.push_back(std::move(entry));
-  }
-  const std::string warm_text = codec->encode(warm);
-  const Frame warm_back = codec->decode(warm_text);
-  ASSERT_EQ(warm_back.entries.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(warm_back.entries[i].key, warm.entries[i].key) << i;
-    EXPECT_EQ(warm_back.entries[i].cover, warm.entries[i].cover) << i;
-  }
-  EXPECT_EQ(codec->encode(warm_back), warm_text);
-}
-
-// The warm-handoff frame's text trust boundary: truncations, a cover line
-// with no open entry, and unknown body directives all throw cleanly.
-TEST(WireCacheWarmCodec, MalformedTextFramesThrow) {
-  Xoshiro256 rng(8);
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-  Frame warm;
-  warm.type = FrameType::kCacheWarm;
-  warm.key = "k";
-  warm.count = 1;
-  WarmCacheEntry entry;
-  entry.key = random_partition(4, rng);
-  entry.cover.push_back(random_partition(4, rng));
-  warm.entries.push_back(std::move(entry));
-  const std::string good = codec->encode(warm);
-
-  // Every strict prefix throws, except the one that merely lost the
-  // trailing newline of the `end` line.
-  for (std::size_t len = 0; len + 2 < good.size(); ++len)
-    EXPECT_THROW((void)codec->decode(good.substr(0, len)), ContractViolation)
-        << "truncated to " << len << " bytes decoded as if complete";
-  EXPECT_THROW((void)codec->decode("cachewarm k\nend\n"), ContractViolation);
-  EXPECT_THROW((void)codec->decode("cachewarm k 1\ncover 0 1\nend\n"),
-               ContractViolation);  // 'cover' before any 'entry'
-  EXPECT_THROW((void)codec->decode("cachewarm k 1\nbogus 0 1\nend\n"),
-               ContractViolation);  // unknown body directive
-  EXPECT_THROW((void)codec->decode(good + "junk\n"), ContractViolation);
+  expect_round_trip(serve);
+  const WireCodec codec;
+  EXPECT_THROW((void)codec.decode(resized_payload(codec.encode(serve), -8)),
+               ContractViolation);
 }
 
 // The binary header's payload bound: a length field past kMaxBinPayload
 // (256 MiB) is rejected from the 16 header bytes alone — a corrupted or
 // hostile peer cannot make the decoder try to buffer gigabytes.
 TEST(WireCacheWarmCodec, BinaryOversizedPayloadLengthIsRejected) {
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(true);
+  const WireCodec codec;
   Frame query;
   query.type = FrameType::kCacheWarm;
   query.key = "k";
   query.count = 64;
   query.exchange = 9;
-  std::string bytes = codec->encode(query);
+  std::string bytes = codec.encode(query);
   // Little-endian payload_len in header bytes 0..3: claim 256 MiB + 1.
   bytes[0] = '\x01';
   bytes[1] = '\x00';
   bytes[2] = '\x00';
   bytes[3] = '\x10';
-  EXPECT_THROW((void)codec->decode(bytes), ContractViolation);
+  EXPECT_THROW((void)codec.decode(bytes), ContractViolation);
 }
 
-TEST(WireObsCodec, TextFramesRoundTripByteIdentically) {
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
+// The obs frame's trust boundary: duplicate metric names, histogram
+// bucket indices past the fixed array, more buckets than exist, zero
+// bucket counts and a bucket listed twice must all be rejected, not
+// silently merged; a span missing its numeric fields is a short payload.
+TEST(WireObsCodec, MalformedFramesThrow) {
+  // kObs payload: four counted sections — counters, gauges, histograms,
+  // spans — each `u32 n` then n records.
+  const auto section = [](std::uint32_t n, const std::string& records) {
+    std::string out;
+    put_le(out, n, 4);
+    return out + records;
+  };
+  const std::string none = section(0, "");
+  const auto obs_frame = [](const std::string& counters,
+                            const std::string& gauges,
+                            const std::string& hists,
+                            const std::string& spans) {
+    return raw_frame(FrameType::kObs, counters + gauges + hists + spans);
+  };
+  const auto value = [](std::string_view name, std::uint64_t v) {
+    std::string out;
+    put_str(out, name);
+    put_le(out, v, 8);
+    return out;
+  };
+  // hist record: str name, u64 sum, u32 nb, nb x (u8 bucket, u64 count).
+  const auto hist = [](std::vector<std::pair<int, std::uint64_t>> buckets,
+                       std::uint32_t claimed) {
+    std::string out;
+    put_str(out, "h");
+    put_le(out, 0, 8);
+    put_le(out, claimed, 4);
+    for (const auto& [bucket, count] : buckets) {
+      put_le(out, static_cast<std::uint64_t>(bucket), 1);
+      put_le(out, count, 8);
+    }
+    return out;
+  };
+  const auto with_hists = [&](std::uint32_t n, const std::string& records) {
+    return obs_frame(none, none, section(n, records), none);
+  };
+  const std::string values = section(1, value("a", 1));
+  const std::string duplicates = section(2, value("a", 1) + value("a", 2));
+  std::string short_span;
+  for (int tag = 0; tag < 4; ++tag) put_str(short_span, "");
 
-  // The query form: a bare obs frame with an empty snapshot.
-  Frame query;
-  query.type = FrameType::kObs;
-  const std::string query_text = codec->encode(query);
-  const Frame query_back = codec->decode(query_text);
-  EXPECT_EQ(query_back.type, FrameType::kObs);
-  EXPECT_TRUE(query_back.obs.empty());
-  EXPECT_EQ(codec->encode(query_back), query_text);
-
-  // The reply form: counters, a sparse histogram, and spans with tag
-  // strings that need escaping (spaces, newline, empty -> "%").
-  Frame reply;
-  reply.type = FrameType::kObs;
-  reply.obs.counters["requests"] = 12;
-  reply.obs.counters["two words"] = 3;
-  reply.obs.gauges["cluster.queue_depth"] = 4;
-  reply.obs.gauges["net sent"] = -2;  // signed: a window delta can shrink
-  obs::HistogramSnapshot h;
-  h.sum = 999;
-  h.buckets[0] = 2;
-  h.buckets[5] = 7;
-  h.buckets[63] = 1;
-  reply.obs.histograms["cluster.drain"] = h;
-  obs::TraceSpan span;
-  span.name = "gen.request";
-  span.source = "conn1";
-  span.top = "nasty\ntop key";
-  span.start_us = 100;
-  span.duration_us = 50;
-  span.id = 2;
-  span.parent = 1;
-  reply.obs.spans.push_back(std::move(span));
-  obs::TraceSpan failover;
-  failover.name = "replica.failover";
-  failover.shard = "127.0.0.1:7001";
-  failover.id = 3;
-  failover.instant = true;
-  reply.obs.spans.push_back(std::move(failover));
-
-  const std::string reply_text = codec->encode(reply);
-  const Frame reply_back = codec->decode(reply_text);
-  EXPECT_EQ(reply_back.type, FrameType::kObs);
-  EXPECT_EQ(reply_back.obs, reply.obs);  // every field, span for span
-  EXPECT_EQ(codec->encode(reply_back), reply_text);
-}
-
-// The obs frame's text trust boundary: truncations and every malformed
-// body line throw cleanly — duplicate metric names, histogram bucket
-// indices past the fixed array, zero bucket counts and unknown
-// directives must all be rejected, not silently merged.
-TEST(WireObsCodec, MalformedTextFramesThrow) {
-  const std::unique_ptr<WireCodec> codec = make_wire_codec(false);
-  Frame frame;
-  frame.type = FrameType::kObs;
-  frame.obs.counters["requests"] = 12;
-  obs::HistogramSnapshot h;
-  h.sum = 9;
-  h.buckets[3] = 2;
-  frame.obs.histograms["cluster.drain"] = h;
-  obs::TraceSpan span;
-  span.name = "gen.request";
-  span.id = 1;
-  frame.obs.spans.push_back(std::move(span));
-  const std::string good = codec->encode(frame);
-
-  // Every strict prefix throws, except the one that merely lost the
-  // trailing newline of the `end` line.
-  for (std::size_t len = 0; len + 2 < good.size(); ++len)
-    EXPECT_THROW((void)codec->decode(good.substr(0, len)), ContractViolation)
-        << "truncated to " << len << " bytes decoded as if complete";
-  EXPECT_THROW((void)codec->decode(good + "junk\n"), ContractViolation);
-  EXPECT_THROW(
-      (void)codec->decode("obs\ncounter a 1\ncounter a 2\nend\n"),
-      ContractViolation);  // duplicate counter
-  EXPECT_THROW((void)codec->decode("obs\ngauge a 1\ngauge a 2\nend\n"),
-               ContractViolation);  // duplicate gauge
-  EXPECT_THROW((void)codec->decode("obs\nhist a 1 1\nhist a 1 1\nend\n"),
-               ContractViolation);  // duplicate histogram (also short line)
-  EXPECT_THROW((void)codec->decode("obs\nhist a 0 1 64 1\nend\n"),
-               ContractViolation);  // bucket index out of range
-  EXPECT_THROW((void)codec->decode("obs\nhist a 0 65\nend\n"),
-               ContractViolation);  // more buckets than exist
-  EXPECT_THROW((void)codec->decode("obs\nhist a 0 1 3 0\nend\n"),
-               ContractViolation);  // zero count for a "nonzero" bucket
-  EXPECT_THROW((void)codec->decode("obs\nhist a 0 2 3 1 3 1\nend\n"),
-               ContractViolation);  // the same bucket listed twice
-  EXPECT_THROW((void)codec->decode("obs\nspan a % % %\nend\n"),
-               ContractViolation);  // span missing its numeric fields
-  EXPECT_THROW((void)codec->decode("obs\nbogus 1\nend\n"),
-               ContractViolation);  // unknown body directive
-  EXPECT_THROW((void)codec->decode("obs trailing\nend\n"), ContractViolation);
+  const WireCodec codec;
+  // The hand-built encoding of a valid frame decodes.
+  EXPECT_NO_THROW((void)codec.decode(
+      obs_frame(values, values, section(1, hist({{3, 1}}, 1)), none)));
+  const std::pair<const char*, std::string> malformed[] = {
+      {"duplicate counter", obs_frame(duplicates, none, none, none)},
+      {"duplicate gauge", obs_frame(none, duplicates, none, none)},
+      {"duplicate histogram",
+       with_hists(2, hist({{1, 1}}, 1) + hist({{1, 1}}, 1))},
+      {"bucket index out of range", with_hists(1, hist({{64, 1}}, 1))},
+      {"more buckets than exist", with_hists(1, hist({}, 65))},
+      {"zero count for a nonzero bucket", with_hists(1, hist({{3, 0}}, 1))},
+      {"the same bucket listed twice",
+       with_hists(1, hist({{3, 1}, {3, 1}}, 2))},
+      {"span missing its numeric fields",
+       obs_frame(none, none, none, section(1, short_span))},
+  };
+  for (const auto& [what, bytes] : malformed)
+    EXPECT_THROW((void)codec.decode(bytes), ContractViolation) << what;
 }
 
 TEST(WireMachines, SelfContainedTextReproducesEventIds) {
