@@ -8,7 +8,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,13 +42,22 @@ inline std::vector<Partition> original_partitions(const CrossProduct& cp) {
   return out;
 }
 
+/// What require() throws; FFSM_BENCH_MAIN turns it into exit status 1.
+struct CheckFailed : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 /// Load-bearing correctness check inside a bench report: benches double as
 /// large-workload regression tests (bit-identical parallel results, ablation
 /// equivalence), so a failed check must fail the CI job, not just print.
+/// It throws rather than exiting so the report unwinds: RAII resources are
+/// released on the way out, and above all shard worker processes are
+/// reaped instead of outliving the bench with its stdout still open (which
+/// would hang `bench_x | grep ...`). Call it on the report thread only.
 inline void require(bool ok, const char* what) {
   if (!ok) {
     std::fprintf(stderr, "BENCH CHECK FAILED: %s\n", what);
-    std::exit(1);
+    throw CheckFailed(what);
   }
 }
 
@@ -79,7 +89,11 @@ class JsonReporter {
   JsonReporter(const JsonReporter&) = delete;
   JsonReporter& operator=(const JsonReporter&) = delete;
 
-  ~JsonReporter() { write(); }
+  /// Writes on scope exit, except while a failed check unwinds: a failed
+  /// run leaves no partial perf record behind.
+  ~JsonReporter() {
+    if (std::uncaught_exceptions() == 0) write();
+  }
 
   /// Tags every subsequently recorded entry with a serving backend
   /// ("inprocess", "subprocess", ...), emitted as a "backend" field so
@@ -168,10 +182,15 @@ class JsonReporter {
   bool written_ = false;
 };
 
-/// Standard entry point: print the report, then run benchmarks.
+/// Standard entry point: print the report, then run benchmarks. A failed
+/// require() in the report exits 1 once the report has unwound.
 #define FFSM_BENCH_MAIN(report_fn)                                   \
   int main(int argc, char** argv) {                                  \
-    report_fn();                                                     \
+    try {                                                            \
+      report_fn();                                                   \
+    } catch (const ::ffsm::bench::CheckFailed&) {                    \
+      return 1;                                                      \
+    }                                                                \
     ::benchmark::Initialize(&argc, argv);                            \
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1; \
     ::benchmark::RunSpecifiedBenchmarks();                           \

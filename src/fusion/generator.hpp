@@ -100,8 +100,12 @@ struct GenerateStats {
   std::uint32_t descent_steps = 0;
   /// Total lower-cover candidate partitions examined.
   std::uint64_t candidates_examined = 0;
-  /// Merge closures actually computed (cache misses); the incremental
-  /// engine's saving shows up as candidates_examined >> closures_evaluated.
+  /// Block-pair merge closures considered by lower covers that were
+  /// computed rather than served from the memo: C(B,2) per cover of a
+  /// B-block partition, pairs the fused evaluator prunes before finishing
+  /// included (the `gen.closures_pruned` obs counter counts those). The
+  /// incremental engine's saving shows up as candidates_examined >>
+  /// closures_evaluated.
   std::uint64_t closures_evaluated = 0;
   /// Lower-cover calls served entirely from the memo.
   std::uint64_t cover_cache_hits = 0;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "util/contracts.hpp"
-#include "util/hash.hpp"
 
 namespace ffsm {
 
@@ -107,15 +106,43 @@ Partition merge_closure(const Dfsm& machine, const Partition& p,
   return result;
 }
 
+namespace {
+
+constexpr std::uint32_t kNoBlock = static_cast<std::uint32_t>(-1);
+
+/// Class key of a base-block pair: compares (p,q) lexicographically.
+std::uint64_t pair_key(std::uint32_t p, std::uint32_t q) {
+  return (static_cast<std::uint64_t>(p) << 32) | q;
+}
+
+/// Key of the union of two classes: its two smallest distinct blocks.
+/// The classes may share a block only while the base is being seeded.
+std::uint64_t merged_key(std::uint64_t x, std::uint64_t y) {
+  const auto x1 = static_cast<std::uint32_t>(x >> 32);
+  const auto x2 = static_cast<std::uint32_t>(x);
+  const auto y1 = static_cast<std::uint32_t>(y >> 32);
+  const auto y2 = static_cast<std::uint32_t>(y);
+  if (x1 == y1) return pair_key(x1, std::min(x2, y2));
+  return x1 < y1 ? pair_key(x1, std::min(x2, y1))
+                 : pair_key(y1, std::min(y2, x1));
+}
+
+}  // namespace
+
 MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
                                        const Partition& base)
     : machine_(machine) {
   FFSM_EXPECTS(base.size() == machine.size());
   n_ = machine.size();
   k_ = static_cast<std::uint32_t>(machine.events().size());
+  block_.assign(base.assignment().begin(), base.assignment().end());
   seed_parent_.resize(n_);
   seed_size_.assign(n_, 1);
-  for (std::uint32_t i = 0; i < n_; ++i) seed_parent_[i] = i;
+  seed_least_.resize(n_);
+  for (std::uint32_t i = 0; i < n_; ++i) {
+    seed_parent_[i] = i;
+    seed_least_[i] = pair_key(block_[i], kNoBlock);
+  }
 
   // Seed with the base partition: link every element to its block's first
   // element, then run the congruence closure once. The snapshot taken here
@@ -129,16 +156,18 @@ MergeClosureEngine::MergeClosureEngine(const Dfsm& machine,
     else
       queue_.emplace_back(f, s);
   }
-  run(seed_parent_, seed_size_);
+  run(seed_parent_, seed_size_, seed_least_, 0);
 
   parent_.resize(n_);
   size_.resize(n_);
-  norm_.resize(n_);
-  canon_.resize(n_);
+  least_.resize(n_);
+  labels_.resize(n_);
 }
 
-void MergeClosureEngine::run(std::vector<std::uint32_t>& parent,
-                             std::vector<std::uint32_t>& size) {
+bool MergeClosureEngine::run(std::vector<std::uint32_t>& parent,
+                             std::vector<std::uint32_t>& size,
+                             std::vector<std::uint64_t>& least,
+                             std::uint64_t bound) {
   // Congruence closure over the pending queue. Invariant: the seeded base
   // is already closed, so within every class all members' successors are
   // co-classed; pushing the *root representatives'* successors (instead of
@@ -159,45 +188,50 @@ void MergeClosureEngine::run(std::vector<std::uint32_t>& parent,
     if (size[x] < size[y]) std::swap(x, y);
     parent[y] = x;
     size[x] += size[y];
+    least[x] = merged_key(least[x], least[y]);
+    // Pruning (see evaluate()). Pairs are enumerated in lexicographic
+    // block order, and this class now unites blocks (c,d) with
+    // (c,d) <lex the pair (p,q) being closed. Every closure only
+    // coarsens, so the finished result would contain closure(c,d): it
+    // would be a duplicate of an earlier candidate or strictly coarser
+    // than one, never the first occurrence of a maximal element. Skipping
+    // it leaves the lower cover unchanged: each maximal element keeps its
+    // first occurrence, and every dropped or surviving non-maximal
+    // candidate stays dominated by one. The decision reads only block
+    // indices, never another pair's result, so the cover and its
+    // first-occurrence order (which kFirstFound depends on) are the same
+    // at any thread count and chunk split.
+    if (least[x] < bound) return false;
     for (std::uint32_t e = 0; e < k_; ++e)
       queue_.emplace_back(machine_.step_local(x, e),
                           machine_.step_local(y, e));
   }
+  return true;
 }
 
-std::size_t MergeClosureEngine::evaluate(State a, State b) {
+bool MergeClosureEngine::evaluate(State a, State b) {
   FFSM_EXPECTS(a < n_ && b < n_);
   std::memcpy(parent_.data(), seed_parent_.data(),
               static_cast<std::size_t>(n_) * sizeof(std::uint32_t));
   std::memcpy(size_.data(), seed_size_.data(),
               static_cast<std::size_t>(n_) * sizeof(std::uint32_t));
+  std::memcpy(least_.data(), seed_least_.data(),
+              static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
   queue_.clear();
   queue_.emplace_back(a, b);
-  run(parent_, size_);
+  const std::uint64_t bound = pair_key(std::min(block_[a], block_[b]),
+                                       std::max(block_[a], block_[b]));
+  if (!run(parent_, size_, least_, bound)) return false;
 
-  // First-occurrence renumbering fused with the same per-element FNV-1a
-  // round Partition::hash() applies, so the returned hash equals
-  // Partition{canonical assignment}.hash() without building the Partition.
-  constexpr std::uint32_t kUnset = static_cast<std::uint32_t>(-1);
-  std::fill(norm_.begin(), norm_.end(), kUnset);
-  std::uint32_t next = 0;
-  std::uint64_t h = kFnv1aOffset;
-  auto find = [this](std::uint32_t x) {
+  for (std::uint32_t i = 0; i < n_; ++i) {
+    std::uint32_t x = i;
     while (parent_[x] != x) {
       parent_[x] = parent_[parent_[x]];
       x = parent_[x];
     }
-    return x;
-  };
-  for (std::uint32_t i = 0; i < n_; ++i) {
-    const std::uint32_t r = find(i);
-    if (norm_[r] == kUnset) norm_[r] = next++;
-    canon_[i] = norm_[r];
-    h ^= canon_[i];
-    h *= kFnv1aPrime;
+    labels_[i] = x;
   }
-  blocks_ = next;
-  return static_cast<std::size_t>(h);
+  return true;
 }
 
 }  // namespace ffsm

@@ -8,8 +8,10 @@
 // partition" used by the paper's lower-cover construction (Definition 2).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "fsm/dfsm.hpp"
 #include "partition/partition.hpp"
@@ -29,16 +31,15 @@ namespace ffsm {
     const Dfsm& machine, const Partition& p,
     std::span<const std::pair<State, State>> merges);
 
-/// Batch evaluator for many single-pair merge closures over one fixed base
-/// partition — the lower-cover hot loop (every candidate cover is
-/// closure(base, {a,b}) for one pair of block representatives).
+/// Batch evaluator for the lower-cover hot loop: the single-pair merge
+/// closures closure(base, {a,b}) over one fixed base partition, one per
+/// pair of its blocks, enumerated in lexicographic block order.
 ///
-/// Compared to calling merge_closure per pair, the engine (a) seeds the
-/// base partition's union-find once and restores it per pair with two
-/// memcpys instead of re-running the seeding closure, and (b) fuses
-/// canonical renumbering with the FNV-1a hash (identical to
-/// Partition::hash()) in one pass, so callers can dedup candidates without
-/// materializing a Partition for every pair. Results are bit-identical to
+/// Compared to calling merge_closure per pair, the engine seeds the base
+/// partition's union-find once and restores it per pair with memcpys
+/// instead of re-running the seeding closure, and it stops a closure as
+/// soon as it provably repeats or lies below an earlier pair's (see
+/// evaluate()). Completed results are bit-identical to
 /// merge_closure(machine, base, {{a,b}}).
 ///
 /// Not thread-safe; use one engine per thread over the same base.
@@ -49,36 +50,50 @@ class MergeClosureEngine {
   /// closes it otherwise, matching merge_closure's seeding semantics).
   MergeClosureEngine(const Dfsm& machine, const Partition& base);
 
-  /// Computes closure(base, {(a,b)}). Returns the canonical assignment's
-  /// FNV-1a hash (== Partition::hash() of the resulting partition); the
-  /// assignment itself is readable via assignment() until the next call.
-  std::size_t evaluate(State a, State b);
+  /// Computes closure(base, {(a,b)}) and returns true, or prunes it and
+  /// returns false. Let (p,q) be the base blocks of a and b in ascending
+  /// order. The closure is abandoned as soon as one of its classes holds
+  /// two base blocks (c,d) that sort lexicographically before (p,q): the
+  /// result would contain closure(base, {(c,d)}), so it would equal or
+  /// lie strictly below the closure of an earlier pair. Equivalently, a
+  /// closure completes iff the lexicographically smallest block pair it
+  /// unites is (p,q) itself.
+  [[nodiscard]] bool evaluate(State a, State b);
 
-  /// Canonical (first-occurrence-normalized) block assignment of the last
-  /// evaluate() call. Constructing Partition{assignment()} is exact.
-  [[nodiscard]] std::span<const std::uint32_t> assignment() const noexcept {
-    return canon_;
+  /// Block label of every element after the last evaluate() that
+  /// returned true (a union-find root, not yet first-occurrence
+  /// numbered); Partition{labels} is the closure. Unspecified after a
+  /// pruned call.
+  [[nodiscard]] std::span<const std::uint32_t> labels() const noexcept {
+    return labels_;
   }
 
-  /// Block count of the last evaluate() call's result.
-  [[nodiscard]] std::uint32_t block_count() const noexcept { return blocks_; }
-
  private:
-  void run(std::vector<std::uint32_t>& parent,
-           std::vector<std::uint32_t>& size);
+  /// Closes the union-find over queue_. Returns false, leaving it
+  /// mid-closure, once a union's class key (see seed_least_) drops below
+  /// `bound`; bound 0 never stops.
+  bool run(std::vector<std::uint32_t>& parent,
+           std::vector<std::uint32_t>& size,
+           std::vector<std::uint64_t>& least, std::uint64_t bound);
 
   const Dfsm& machine_;
   std::uint32_t n_ = 0;
   std::uint32_t k_ = 0;
-  std::uint32_t blocks_ = 0;
+  // Base block of every element.
+  std::vector<std::uint32_t> block_;
   // Union-find snapshot after seeding with the base partition; evaluate()
   // memcpy-restores it into the scratch arrays per pair.
   std::vector<std::uint32_t> seed_parent_;
   std::vector<std::uint32_t> seed_size_;
+  // Per union-find root: the two smallest base-block ids of its class,
+  // packed as (smallest << 32) | second smallest, so comparing keys
+  // compares block pairs lexicographically. A one-block class keeps
+  // 0xffffffff as its second id.
+  std::vector<std::uint64_t> seed_least_;
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> size_;
-  std::vector<std::uint32_t> norm_;
-  std::vector<std::uint32_t> canon_;
+  std::vector<std::uint64_t> least_;
+  std::vector<std::uint32_t> labels_;
   std::vector<std::pair<State, State>> queue_;
 };
 

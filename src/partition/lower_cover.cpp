@@ -1,6 +1,7 @@
 #include "partition/lower_cover.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -461,49 +462,40 @@ std::vector<Partition> postpass_sharded(std::vector<Partition>&& candidates,
   return result;
 }
 
-/// Fused evaluation: one MergeClosureEngine per chunk of pairs, inline
-/// dedup on the fused canonical hash (exact compare on collision) so
-/// duplicate closures never materialize a Partition. Chunks have a FIXED
-/// size, independent of thread count, and are merged in ascending index
-/// order through a global first-occurrence filter — so the distinct list
-/// (and therefore the cover) is bit-identical to the classic
-/// evaluate-then-dedup pipeline at any thread count.
+/// Fused evaluation: one MergeClosureEngine per chunk of pairs, which
+/// prunes as it goes. A closure completes iff the earliest block pair it
+/// unites is its own pair, so the completed closures are pairwise
+/// distinct, each at its value's first occurrence; a pruned pair's closure
+/// repeats or lies strictly below an earlier pair's (see
+/// MergeClosureEngine::run). The chunks' survivors in index order are thus
+/// the classic evaluate-then-dedup list minus some candidates that are not
+/// maximal, and the cover after the maximality filter is bit-identical to
+/// the classic pipeline's at any thread count.
 std::vector<Partition> fused_candidates(
     const Dfsm& machine, const Partition& p,
     const std::vector<std::pair<State, State>>& pairs,
     const LowerCoverOptions& options) {
-  struct Distinct {
-    std::size_t hash;
-    std::vector<std::uint32_t> canon;
-  };
-
   const auto evaluate_range = [&](std::size_t lo, std::size_t hi,
-                                  std::vector<Distinct>& out) {
+                                  std::vector<Partition>& out) {
     MergeClosureEngine engine(machine, p);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t h = engine.evaluate(pairs[i].first, pairs[i].second);
-      const std::span<const std::uint32_t> canon = engine.assignment();
-      bool duplicate = false;
-      for (const Distinct& d : out)
-        if (d.hash == h &&
-            std::equal(d.canon.begin(), d.canon.end(), canon.begin())) {
-          duplicate = true;
-          break;
-        }
-      if (!duplicate)
-        out.push_back({h, {canon.begin(), canon.end()}});
-    }
+    for (std::size_t i = lo; i < hi; ++i)
+      if (engine.evaluate(pairs[i].first, pairs[i].second)) {
+        const std::span<const std::uint32_t> labels = engine.labels();
+        out.emplace_back(std::vector<std::uint32_t>(labels.begin(),
+                                                    labels.end()));
+      }
   };
 
-  // Pair chunks are fixed-size (NOT thread-count-derived): the merge below
-  // is boundary-insensitive, but fixed chunks also keep the work split —
-  // and the per-chunk engine count — reproducible for profiling.
+  // Pair chunks are fixed-size (NOT thread-count-derived): pruning reads
+  // only pair indices, so any split gives the same survivors, but fixed
+  // chunks also keep the work split — and the per-chunk engine count —
+  // reproducible for profiling.
   constexpr std::size_t kChunkPairs = 2048;
   const std::size_t chunk_count =
       options.parallel ? (pairs.size() + kChunkPairs - 1) / kChunkPairs : 1;
-  std::vector<std::vector<Distinct>> chunk_distinct(chunk_count);
+  std::vector<std::vector<Partition>> chunks(chunk_count);
   if (chunk_count == 1) {
-    evaluate_range(0, pairs.size(), chunk_distinct[0]);
+    evaluate_range(0, pairs.size(), chunks[0]);
   } else {
     ParallelOptions popt;
     popt.pool = options.pool;
@@ -513,34 +505,17 @@ std::vector<Partition> fused_candidates(
         [&](std::size_t c) {
           const std::size_t lo = c * kChunkPairs;
           const std::size_t hi = std::min(pairs.size(), lo + kChunkPairs);
-          evaluate_range(lo, hi, chunk_distinct[c]);
+          evaluate_range(lo, hi, chunks[c]);
         },
         popt);
   }
 
-  // Merge chunks in index order with a global first-occurrence filter. A
-  // value's global first occurrence survives its own chunk's inline dedup,
-  // so processing chunk survivors in ascending global-index order yields
-  // exactly the classic first-occurrence output.
-  std::vector<Partition> unique;
-  std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
-  for (auto& chunk : chunk_distinct) {
-    for (Distinct& d : chunk) {
-      auto& chain = by_hash[d.hash];
-      bool duplicate = false;
-      for (const std::size_t u : chain) {
-        const std::span<const std::uint32_t> a = unique[u].assignment();
-        if (std::equal(a.begin(), a.end(), d.canon.begin(), d.canon.end())) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      chain.push_back(unique.size());
-      unique.emplace_back(std::move(d.canon));
-    }
-  }
-  return unique;
+  std::vector<Partition> candidates = std::move(chunks[0]);
+  for (std::size_t c = 1; c < chunk_count; ++c)
+    candidates.insert(candidates.end(),
+                      std::make_move_iterator(chunks[c].begin()),
+                      std::make_move_iterator(chunks[c].end()));
+  return candidates;
 }
 
 }  // namespace
@@ -569,14 +544,16 @@ std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
   const bool timed = obs != nullptr && obs->enabled();
 
   if (options.fused) {
-    // Already deduplicated in first-occurrence order; apply the same
+    // Already distinct, in first-occurrence order; apply the same
     // maximality filter as the post-passes, then check closedness on the
     // few survivors (the classic path checks every closure inside
-    // merge_closure — pushing the check past dedup is most of the win).
+    // merge_closure).
     const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-    std::vector<Partition> unique = fused_candidates(machine, p, pairs,
-                                                     options);
+    std::vector<Partition> unique =
+        fused_candidates(machine, p, pairs, options);
     if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
+    if (obs != nullptr)
+      obs->count("gen.closures_pruned", pairs.size() - unique.size());
     const std::size_t k = unique.size();
     std::vector<char> dominated(k, 0);
     const auto scan_row = [&](std::size_t i) {

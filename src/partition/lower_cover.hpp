@@ -16,7 +16,10 @@
 // passes produce bit-identical covers at any thread count, and the
 // pre-refactor serial post-pass is kept behind
 // LowerCoverOptions::sharded_dedup = false as the ablation baseline
-// (bench_ablation_parallel).
+// (bench_ablation_parallel). The fused evaluator (LowerCoverOptions::fused,
+// the speculative descent's) does far less: a pair's closure stops once
+// it unites an earlier block pair, the closures that finish are already
+// distinct, and only the maximality filter runs on them.
 //
 // A lower cover depends only on (machine, p) — not on which originals or
 // fault graph drove the caller there — so results are memoizable across
@@ -308,12 +311,13 @@ struct LowerCoverOptions {
   bool sharded_dedup = true;
   /// Evaluate pair closures through MergeClosureEngine: the base
   /// partition's union-find is seeded once and memcpy-restored per pair,
-  /// and duplicates are dropped inline on the fused canonical hash before
-  /// any Partition materializes. Covers are bit-identical to the classic
-  /// path at any thread count (fixed-size pair chunks merged in index
-  /// order); default-off so the classic evaluator stays the ablation
-  /// baseline. When set, sharded_dedup is irrelevant (dedup already
-  /// happened inline).
+  /// and a pair's closure stops as soon as it unites an earlier block pair
+  /// (in lexicographic order), because it can then only repeat or lie
+  /// below an earlier candidate. The closures that finish are distinct and
+  /// include every maximal candidate, so no dedup pass runs.
+  /// Covers are bit-identical to the classic path, order included, at any
+  /// thread count; default-off so the classic evaluator stays the oracle.
+  /// When set, sharded_dedup is irrelevant.
   bool fused = false;
   /// Optional memo shared across calls (and threads). Must only ever see
   /// partitions of one machine.
@@ -321,8 +325,10 @@ struct LowerCoverOptions {
   /// Optional observability context (nullptr = uninstrumented). Feeds the
   /// `gen.lower_cover` span (one full cover computation), the
   /// `gen.closure_eval` histogram (the candidate-evaluation phase inside
-  /// it) and `cache.get` / `cache.insert` (memo lookup / publish latency).
-  /// Never affects results.
+  /// it), the `gen.closures_pruned` counter (pairs the fused evaluator
+  /// stopped early, added once per cover) and `cache.get` /
+  /// `cache.insert` (memo lookup / publish latency). Never affects
+  /// results.
   obs::Obs* obs = nullptr;
 };
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "fsm/product.hpp"
 #include "fsm/random_dfsm.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -152,6 +155,103 @@ TEST_P(MergeClosureSweep, ClosureProperties) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MergeClosureSweep,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+/// Lexicographically smallest pair of `base` blocks (c,d), c < d, that
+/// share a block of `q` (which must be coarser or equal); (n, n) with
+/// n = base.block_count() when q unites none.
+std::pair<std::uint32_t, std::uint32_t> earliest_united_pair(
+    const Partition& base, const Partition& q) {
+  const std::uint32_t none = base.block_count();
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> least(
+      q.block_count(), {none, none});
+  for (State s = 0; s < base.size(); ++s) {
+    auto& [lo, hi] = least[q.block_of(s)];
+    const std::uint32_t b = base.block_of(s);
+    if (b == lo || b == hi) continue;
+    if (b < lo) {
+      hi = lo;
+      lo = b;
+    } else if (b < hi) {
+      hi = b;
+    }
+  }
+  std::pair<std::uint32_t, std::uint32_t> best{none, none};
+  for (const auto& pair : least)
+    if (pair.second != none) best = std::min(best, pair);
+  return best;
+}
+
+// The batch engine behind the fused lower cover: for every block pair of
+// several closed bases it must prune exactly when merge_closure's result
+// unites a block pair sorting before the pair being closed (the rule the
+// fused lower cover's bit-identity rests on), and otherwise compute
+// exactly merge_closure's partition. Pairs are closed through random
+// members of their blocks, in both orders, on one reused engine, so
+// restores after pruned and completed calls are covered too. The machines
+// are products of two random machines: their closures often stop short of
+// the bottom, where a lone random machine's mostly collapse.
+class MergeClosureEngineSweep
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MergeClosureEngineSweep, EveryBlockPairMatchesMergeClosure) {
+  auto al = Alphabet::create();
+  std::vector<Dfsm> machines;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    RandomDfsmSpec spec;
+    spec.states = 6;
+    spec.num_events = 1 + GetParam() % 3;
+    spec.seed = GetParam() * 2 + i;
+    machines.push_back(make_random_connected_dfsm(
+        al, "m" + std::to_string(i), spec));
+  }
+  const Dfsm m = reachable_cross_product(machines).top;
+  Xoshiro256 rng(GetParam() * 17 + 3);
+
+  // The identity plus closed bases a random merge or two below it.
+  std::vector<Partition> bases = {Partition::identity(m.size())};
+  for (int i = 0; i < 3; ++i) {
+    const std::pair<State, State> merge[] = {
+        {static_cast<State>(rng.below(m.size())),
+         static_cast<State>(rng.below(m.size()))}};
+    bases.push_back(merge_closure(m, bases[i % 2], merge));
+  }
+
+  std::uint64_t completed = 0;
+  std::uint64_t pruned = 0;
+  for (const Partition& base : bases) {
+    const auto members = base.blocks();
+    const auto blocks = static_cast<std::uint32_t>(members.size());
+    MergeClosureEngine engine(m, base);
+    for (std::uint32_t i = 0; i < blocks; ++i)
+      for (std::uint32_t j = i + 1; j < blocks; ++j) {
+        State a = members[i][rng.below(members[i].size())];
+        State b = members[j][rng.below(members[j].size())];
+        if (rng.below(2) == 1) std::swap(a, b);
+        const std::pair<State, State> merge[] = {{a, b}};
+        const Partition expected = merge_closure(m, base, merge);
+        const bool earlier =
+            earliest_united_pair(base, expected) < std::pair{i, j};
+        const bool done = engine.evaluate(a, b);
+        EXPECT_EQ(done, !earlier) << base.to_string() << " pair " << i
+                                  << "," << j;
+        if (done) {
+          const auto labels = engine.labels();
+          const Partition got{
+              std::vector<std::uint32_t>(labels.begin(), labels.end())};
+          EXPECT_EQ(got, expected)
+              << base.to_string() << " pair " << i << "," << j;
+          ++completed;
+        } else {
+          ++pruned;
+        }
+      }
+  }
+  EXPECT_GT(completed, 0u);
+  EXPECT_GT(pruned, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MergeClosureEngineSweep,
+                         ::testing::Range<std::uint64_t>(1, 13));
 
 }  // namespace
 }  // namespace ffsm

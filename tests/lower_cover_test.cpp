@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fsm/random_dfsm.hpp"
 #include "partition/closure.hpp"
@@ -210,6 +214,87 @@ TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DedupEquivalenceRandom,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// The fused evaluator (pruned MergeClosureEngine closures) must emit
+// exactly the classic evaluator's cover — same elements, same
+// first-occurrence order — serially and at any thread count, at every node
+// of a descent and at each sibling. Products of two random machines have
+// 65+ states, so the identity's cover spans several kChunkPairs chunks.
+void expect_fused_matches_classic_down_a_descent(const Dfsm& m) {
+  obs::Obs obs;
+  // Thread count 0 runs the fused evaluator serially (parallel = false).
+  std::vector<std::pair<std::size_t, LowerCoverOptions>> fused_configs;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
+    LowerCoverOptions fused;
+    fused.fused = true;
+    fused.obs = &obs;
+    if (threads == 0) {
+      fused.parallel = false;
+    } else {
+      pools.push_back(std::make_unique<ThreadPool>(threads));
+      fused.pool = pools.back().get();
+    }
+    fused_configs.emplace_back(threads, fused);
+  }
+  const LowerCoverOptions classic;  // fused = false: the oracle
+  const auto expect_same = [&](const Partition& p,
+                               const std::vector<Partition>& baseline) {
+    for (const auto& [threads, fused] : fused_configs)
+      EXPECT_EQ(lower_cover(m, p, fused), baseline)
+          << "threads=" << threads << " at " << p.to_string();
+  };
+
+  Partition current = Partition::identity(m.size());
+  while (true) {
+    const auto baseline = lower_cover(m, current, classic);
+    expect_same(current, baseline);
+    if (baseline.empty()) break;
+    for (const Partition& sibling : baseline)
+      expect_same(sibling, lower_cover(m, sibling, classic));
+    current = baseline.front();
+  }
+  // A pruning rule that never fires would pass the equality checks too.
+  EXPECT_GT(obs.snapshot().counters["gen.closures_pruned"], 0u);
+}
+
+class FusedEquivalenceRandom : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(FusedEquivalenceRandom, FusedMatchesClassicDownARandomLattice) {
+  auto al = Alphabet::create();
+  RandomDfsmSpec spec;
+  spec.states = 10;
+  spec.num_events = 3;
+  spec.seed = GetParam();
+  expect_fused_matches_classic_down_a_descent(
+      make_random_connected_dfsm(al, "m", spec));
+}
+
+TEST_P(FusedEquivalenceRandom, FusedMatchesClassicOnARandomProduct) {
+  auto al = Alphabet::create();
+  std::vector<Dfsm> machines;
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    RandomDfsmSpec spec;
+    spec.states = 11;
+    spec.num_events = 2;
+    spec.seed = GetParam() * 2 + i;
+    machines.push_back(make_random_connected_dfsm(
+        al, "m" + std::to_string(i), spec));
+  }
+  const CrossProduct cp = reachable_cross_product(machines);
+  // C(65,2) = 2080 pairs: the identity's cover spans at least two chunks.
+  ASSERT_GE(cp.top.size(), 65u);
+  expect_fused_matches_classic_down_a_descent(cp.top);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FusedEquivalenceRandom,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(FusedEquivalence, FusedMatchesClassicOnCatalogProduct) {
+  expect_fused_matches_classic_down_a_descent(
+      ffsm::testing::counter_pair_product(9).top);
+}
 
 TEST(LowerCoverCache, MemoizesWithoutChangingResults) {
   const ffsm::testing::CanonicalExample ex;
