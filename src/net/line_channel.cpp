@@ -95,29 +95,4 @@ std::string LineChannel::expect_line(const char* context, Deadline deadline) {
   return expect_line_until(context, &deadline);
 }
 
-std::string LineChannel::read_frame_until(std::string first_line,
-                                          const char* context,
-                                          const Deadline* deadline) {
-  std::string frame = std::move(first_line);
-  frame += '\n';
-  for (;;) {
-    // One deadline bounds the whole frame: the budget shrinks as lines
-    // arrive, so a peer trickling bytes cannot stretch it line by line.
-    const std::string line = expect_line_until(context, deadline);
-    frame += line;
-    frame += '\n';
-    if (line == "end") return frame;
-  }
-}
-
-std::string LineChannel::read_frame(std::string first_line,
-                                    const char* context) {
-  return read_frame_until(std::move(first_line), context, nullptr);
-}
-
-std::string LineChannel::read_frame(std::string first_line,
-                                    const char* context, Deadline deadline) {
-  return read_frame_until(std::move(first_line), context, &deadline);
-}
-
 }  // namespace ffsm::net

@@ -1,16 +1,16 @@
-// Line/frame framing over a byte stream.
+// Line and byte framing over a byte stream.
 //
-// The wire protocol (sim/messages.hpp) is line-oriented: directive lines,
-// and multi-line frames closed by a lone `end` line. LineChannel is the
-// transport half of that — buffered line reads and full-buffer sends over
-// either an owned Socket (TCP connection, socketpair) or a borrowed
-// read/write fd pair (the worker's stdin/stdout bridge). It knows frame
-// *shape* (a frame ends at `end`), never frame *content*; decoding stays in
-// sim/messages.
+// The wire protocol (sim/messages.hpp) opens every connection with one
+// text line each way (the hello, or a health probe's `ping`) and then
+// speaks length-prefixed binary frames. LineChannel is the transport half
+// of that — buffered line reads, exact-length reads and full-buffer sends
+// over either an owned Socket (TCP connection, socketpair) or a borrowed
+// read/write fd pair (the worker's stdin/stdout bridge). It never looks
+// at frame content; decoding stays in sim/messages.
 //
-// All failures throw NetError: a clean EOF between lines is the one
-// non-error outcome (read_line returns false), EOF inside a frame is a
-// torn message and throws.
+// All failures throw NetError: a clean EOF at a line or frame boundary is
+// the one non-error outcome (read_line / read_exact return false), EOF in
+// the middle of a line or a read is a torn message and throws.
 #pragma once
 
 #include <string>
@@ -104,17 +104,6 @@ class LineChannel {
   [[nodiscard]] std::string expect_line(const char* context,
                                         Deadline deadline);
 
-  /// Reads a full frame — `first_line` plus every following line up to and
-  /// including the lone `end` terminator — returning it with trailing
-  /// newlines restored, ready for sim/messages decode. Throws NetError on
-  /// EOF inside the frame; the deadline overload bounds the whole frame,
-  /// not each line.
-  [[nodiscard]] std::string read_frame(std::string first_line,
-                                       const char* context);
-  [[nodiscard]] std::string read_frame(std::string first_line,
-                                       const char* context,
-                                       Deadline deadline);
-
   /// Reads exactly `count` bytes into `dst` (the binary framing's header
   /// and payload reads). Returns false on clean EOF before the first
   /// byte; EOF mid-read is a torn message and throws NetError, as do read
@@ -130,9 +119,6 @@ class LineChannel {
   bool read_line_until(std::string& line, const Deadline* deadline);
   [[nodiscard]] std::string expect_line_until(const char* context,
                                               const Deadline* deadline);
-  [[nodiscard]] std::string read_frame_until(std::string first_line,
-                                             const char* context,
-                                             const Deadline* deadline);
 
   Socket owned_;
   int read_fd_ = -1;

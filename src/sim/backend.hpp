@@ -3,15 +3,22 @@
 // A cluster shard is no longer a set of concrete FusionService objects —
 // it is a ShardBackend: per-top serving queues behind a message boundary.
 // The cluster routes and re-queues; the backend owns the machines, the
-// queues accepted from the cluster, and the closure caches. Two backends
-// ship today:
+// queues accepted from the cluster, and the closure caches. Three
+// backends ship today:
 //
 //   InProcessBackend  — the pre-refactor behaviour, bit-identical: one
 //                       FusionService per registered top in this address
 //                       space (the default).
-//   SubprocessBackend — one worker process per shard speaking the wire
-//                       protocol (sim/messages.hpp) over a socketpair;
-//                       see sim/subprocess_backend.hpp.
+//   SubprocessBackend — one ffsm_shard_worker child process per shard on
+//                       a socketpair; see sim/subprocess_backend.hpp.
+//   ReplicaBackend    — an ordered seed list of `ffsm_shard_worker
+//                       --listen` replicas over TCP with lossless
+//                       failover; one endpoint is a plain remote shard.
+//                       See sim/replica_backend.hpp.
+//
+// The two out-of-process backends share one parent-side implementation
+// of the wire protocol (sim/messages.hpp), QueuedWireBackend below; they
+// differ only in how a connection to a worker is obtained.
 //
 // Contract shared by all backends: submit() queues, drain(key) serves
 // everything queued for one top and returns responses in ticket order; a
@@ -28,7 +35,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "net/line_channel.hpp"
+#include "net/retry.hpp"
 #include "sim/server.hpp"
+#include "sim/wire_conversation.hpp"
 
 namespace ffsm {
 
@@ -84,12 +94,27 @@ class ShardBackend {
 };
 
 /// Shared parent-side half of every wire-protocol backend (subprocess,
-/// TCP): the registered tops with their self-contained machine texts, the
-/// per-top request queues that make worker loss non-lossy, ticket
-/// assignment, and caller-side validation. Subclasses own the transport —
-/// drain/stats/shutdown — plus one hook: register_added_top_locked, called
-/// under the lock by add_top so a live transport learns new tops
-/// immediately (and can veto them before the entry commits).
+/// replica set): the registered tops with their self-contained machine
+/// texts, the per-top request queues that make worker loss non-lossy,
+/// ticket assignment, caller-side validation — and the one
+/// WireConversation with everything spoken on it. This class is the only
+/// parent-side code that knows the exchange grammar (sim/messages.hpp):
+///   handshake  hello, config, every top, every warm-cache snapshot
+///   serve      windowed `serve` exchanges, re-submitted whole when the
+///              connection dies mid-exchange, served tickets removed only
+///              once every response of the batch arrived
+///   warm       a best-effort `cachewarm` export after each drain,
+///              replayed by the next handshake
+///   stats/obs  per-key counters and the worker's observability snapshot
+///   top        live registration on an open conversation
+///   shutdown   a fire-and-close goodbye
+/// Wire I/O runs outside mutex_, so drains of different tops interleave on
+/// the one connection and submit()/pending() never wait behind a drain.
+///
+/// A subclass supplies only how a fresh connection is obtained (connect()
+/// hands a channel to open_conversation_locked), what a dropped connection
+/// leaves behind to clean up (on_drop_locked), and the parent-side
+/// counters it keeps (fill_parent_counters_locked).
 class QueuedWireBackend : public ShardBackend {
  public:
   void add_top(const std::string& key, const Dfsm& top) final;
@@ -100,7 +125,83 @@ class QueuedWireBackend : public ShardBackend {
   [[nodiscard]] std::size_t pending(const std::string& key) const final;
   std::size_t discard_pending(const std::string& key) final;
 
+  /// Connects if needed (connect()), then ships the top's backlog as
+  /// serve_window-sized exchanges. A connection that dies mid-exchange is
+  /// dropped and the batch re-sent on a fresh one, serve_retry attempts in
+  /// total; anything else — protocol errors, a worker-side batch failure —
+  /// propagates at once. Either way the batch stays queued until every
+  /// response arrived.
+  std::vector<FusionResponse> drain(const std::string& key) final;
+  /// Worker counters for `key` from the live conversation (they restart
+  /// with the worker or connection); all-zero when there is none, or the
+  /// query fails. The subclass's parent-side counters (restarts, ...) are
+  /// filled in either way — the worker that answers cannot know how often
+  /// it was replaced.
+  [[nodiscard]] ServiceStats stats(const std::string& key) const final;
+  /// The live worker's observability snapshot via a kObs exchange; empty
+  /// when there is no live conversation or the query fails.
+  [[nodiscard]] obs::ObsSnapshot obs_snapshot() final;
+  /// Sends the goodbye and closes the conversation. Queued requests stay
+  /// queued; the next drain() reconnects.
+  void shutdown() override;
+
+  /// Whether a conversation is currently open (tests probe recovery).
+  [[nodiscard]] bool connected() const;
+
  protected:
+  /// How a transport speaks the exchanges: fixed by each subclass at
+  /// construction (ReplicaBackend forwards its options, SubprocessBackend
+  /// passes constants).
+  struct ExchangePolicy {
+    /// Prefix of every error this backend throws.
+    const char* name = "QueuedWireBackend";
+    /// Wire-safe service options sent at every handshake.
+    ShardServiceConfig config = {};
+    /// Attempts per drain; a connection that dies mid-exchange costs one.
+    /// 1 = no in-drain re-submit: the drain fails and the cluster
+    /// re-queues.
+    net::RetryPolicy serve_retry = {};
+    /// Request frames per serve exchange — the backpressure window (a
+    /// larger backlog drains as sequential exchanges). 0 counts as 1.
+    std::size_t serve_window = 32;
+    /// Times wire encode/decode/round-trip (see WireConversation).
+    obs::Obs* obs = nullptr;
+  };
+
+  explicit QueuedWireBackend(ExchangePolicy policy);
+
+  /// Leaves a live conversation_ installed, or throws: NetError when no
+  /// worker could be reached (drain() retries those per serve_retry),
+  /// ContractViolation when one answered wrongly. Called WITHOUT mutex_;
+  /// implementations lock as they need and may reuse a live conversation.
+  virtual void connect() = 0;
+  /// Runs with mutex_ held whenever the conversation is dropped — a
+  /// transport or protocol failure, or a stale one replaced. Default: no
+  /// cleanup.
+  virtual void on_drop_locked() noexcept {}
+  /// Parent-side counters the remote cannot know, onto `stats`.
+  virtual void fill_parent_counters_locked(ServiceStats& stats) const = 0;
+
+  /// Runs the handshake on a freshly connected `channel` — hello, config,
+  /// every top in registration order, every warm snapshot — and installs
+  /// it as conversation_. `peer` names the worker in error messages.
+  /// Throws NetError when the peer vanished and ContractViolation when it
+  /// answered wrongly, closing the channel in both cases.
+  void open_conversation_locked(net::LineChannel channel, std::string peer);
+  /// Forgets the conversation and calls on_drop_locked(). Exchanges still
+  /// on it keep it alive through their shared_ptr and fail with NetError
+  /// once it is poisoned.
+  void drop_connection_locked() noexcept;
+  /// Whether conversation_ is installed and not poisoned.
+  [[nodiscard]] bool live_locked() const;
+
+  /// Guards the tops and their queues, conversation_ and subclass state.
+  /// Held through a handshake and a live top registration, never across
+  /// a serve, stats or obs exchange.
+  mutable std::mutex mutex_;
+  std::shared_ptr<WireConversation> conversation_;
+
+ private:
   struct TopState {
     std::string machine_text;    // self-contained to_text, for re-register
     std::uint32_t top_size = 0;  // states, for caller-side validate
@@ -120,24 +221,43 @@ class QueuedWireBackend : public ShardBackend {
 
   [[nodiscard]] TopState& top_of(const std::string& key);
   [[nodiscard]] const TopState& top_of(const std::string& key) const;
-
-  /// Called by add_top with mutex_ held, after the entry was recorded. A
-  /// throw rolls the registration back (the cluster rolls its own back
-  /// too). Typical implementation: if the transport is live, send the
-  /// `top` frame and expect "ok"; if not, do nothing — the (re)connect
-  /// handshake registers every recorded top anyway.
-  virtual void register_added_top_locked(const std::string& key) = 0;
-
+  /// add_top's hook, with mutex_ held: a live conversation learns the new
+  /// top at once (a rejection rolls the registration back); otherwise the
+  /// next handshake registers it with the rest.
+  void register_added_top_locked(const std::string& key);
   /// Human-readable tail for a reply frame that should have been `ok` (or
   /// another expected type): the error detail for kError, the frame type
   /// name otherwise.
   [[nodiscard]] static std::string describe_reply(const Frame& reply);
+  /// Serializes drains per top — the cluster already guarantees one drain
+  /// per top at a time, the gate makes it a local invariant. Gates are
+  /// created lazily and never removed, so the returned reference is
+  /// stable.
+  [[nodiscard]] std::mutex& serve_gate(const std::string& key);
+  /// Ships `batch` as serve_window-sized exchanges on `conversation`;
+  /// responses in batch (= ticket) order. Runs WITHOUT mutex_ — other
+  /// tops' drains interleave on the same connection while this one waits.
+  /// NetError => the conversation is already poisoned (the caller drops
+  /// and retries).
+  std::vector<FusionResponse> serve_exchange(
+      const std::shared_ptr<WireConversation>& conversation,
+      const std::string& key, const std::vector<WireRequest>& batch);
+  /// Best-effort kCacheWarm export query after a successful drain: stores
+  /// the worker's hottest cache entries in the top's warm snapshot, to be
+  /// replayed by the next handshake. Failures are swallowed — the drain
+  /// already completed.
+  void capture_warm_snapshot(
+      const std::shared_ptr<WireConversation>& conversation,
+      const std::string& key);
 
-  /// Serializes the wire conversation and guards tops_/top_order_/queues.
-  mutable std::mutex mutex_;
+  ExchangePolicy policy_;
   std::unordered_map<std::string, TopState> tops_;
   std::vector<std::string> top_order_;  // registration order for replays
   std::uint64_t next_ticket_ = 1;
+  std::string peer_;  // the live (or last) conversation's worker
+  /// One gate per top (lazily created; pointers keep them stable under
+  /// rehash). Locked for a whole drain, which outlives mutex_ holds.
+  std::unordered_map<std::string, std::unique_ptr<std::mutex>> serve_gates_;
 };
 
 /// The default backend: the pre-refactor in-address-space behaviour, one

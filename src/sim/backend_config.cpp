@@ -4,7 +4,6 @@
 
 #include "sim/replica_backend.hpp"
 #include "sim/subprocess_backend.hpp"
-#include "sim/tcp_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace ffsm {
@@ -73,22 +72,7 @@ make_backend_factory(BackendConfig config) {
         options.obs = config.obs;
         return std::make_unique<SubprocessBackend>(std::move(options));
       };
-    case BackendConfig::Kind::kTcp:
-      return [config = std::move(config)](std::size_t) {
-        TcpBackendOptions options;
-        options.host = config.endpoints[0].host;
-        options.port = config.endpoints[0].port;
-        options.config = config.service;
-        options.connect_timeout = config.connect_timeout;
-        options.connect_retry = config.connect_retry;
-        options.serve_retry = config.serve_retry;
-        options.serve_window = config.serve_window;
-        options.keepalive_idle_s = config.keepalive_idle_s;
-        options.keepalive_interval_s = config.keepalive_interval_s;
-        options.keepalive_probes = config.keepalive_probes;
-        options.obs = config.obs;
-        return std::make_unique<TcpBackend>(std::move(options));
-      };
+    case BackendConfig::Kind::kTcp:  // a one-endpoint replica set
     case BackendConfig::Kind::kReplica:
       return [config = std::move(config)](std::size_t) {
         ReplicaBackendOptions options;

@@ -29,9 +29,10 @@ namespace ffsm {
 struct BackendConfig {
   /// Where a shard's FusionServices live. kInProcess: this address space
   /// (the cluster's built-in default). kSubprocess: one ffsm_shard_worker
-  /// child per shard over a stdio socketpair. kTcp: one remote worker,
-  /// every shard on its own connection. kReplica: an ordered seed list of
-  /// worker replicas per shard with lossless failover.
+  /// child per shard over a stdio socketpair. kReplica: an ordered seed
+  /// list of worker replicas per shard with lossless failover. kTcp: one
+  /// remote worker, every shard on its own connection — a ReplicaBackend
+  /// with a one-endpoint seed list; only the endpoint count differs.
   enum class Kind { kInProcess, kSubprocess, kTcp, kReplica };
 
   Kind kind = Kind::kInProcess;
@@ -49,8 +50,8 @@ struct BackendConfig {
   /// because perfbench/src/serve.cpp still assigns it; delete both in the
   /// next change to the benchmark.
   WireMode wire = WireMode::kBinary;
-  /// Connection knobs, meaningful for kTcp/kReplica (defaults match the
-  /// per-backend option structs; see ReplicaBackendOptions for semantics).
+  /// Connection knobs, meaningful for kTcp/kReplica (defaults match
+  /// ReplicaBackendOptions, which documents their semantics).
   std::chrono::milliseconds connect_timeout{2000};
   net::RetryPolicy connect_retry = {};
   net::RetryPolicy serve_retry = {2, std::chrono::milliseconds(50),
@@ -59,7 +60,7 @@ struct BackendConfig {
   int keepalive_idle_s = 30;
   int keepalive_interval_s = 10;
   int keepalive_probes = 3;
-  /// Optional liveness oracle shared across shards; kReplica only.
+  /// Optional liveness oracle shared across shards; kTcp and kReplica.
   std::shared_ptr<net::HealthMonitor> monitor;
   /// Optional observability context handed to every backend the factory
   /// builds (nullptr = uninstrumented). Typically the cluster's own Obs

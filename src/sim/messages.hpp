@@ -103,7 +103,8 @@ struct ServiceStats {
   std::uint64_t speculation_hits = 0;
   std::uint64_t speculation_wasted_closures = 0;
   /// Worker restarts this serving state survived: respawned processes
-  /// (SubprocessBackend), re-established connections (TcpBackend). Always
+  /// (SubprocessBackend), re-established connections (ReplicaBackend, any
+  /// number of endpoints). Always
   /// 0 from the serving side itself — the backend that owns the restart
   /// policy fills it, since the restarted worker cannot count its own
   /// deaths.

@@ -8,31 +8,33 @@
 // fusions to the in-process backend. Every spawn opens with the versioned
 // hello; a worker binary that refuses it fails the spawn.
 //
-// Queueing lives parent-side: submit() queues here, drain(key) ships the
-// whole backlog as one `serve` exchange and clears it only once every
-// response arrived. A worker death (EOF / failed write mid-exchange) is
-// therefore never lossy: the backend reaps the corpse, throws from
-// drain(), and the cluster's existing failed-drain path retries the still-
-// queued requests on its next round — at which point the backend respawns
-// a fresh worker and re-registers its tops. A restarted worker restarts
-// its counters and caches (exactly like any real process-level state);
-// results are unaffected because caches never change results.
+// The worker serves its socketpair exactly like a listen-mode worker
+// serves a TCP connection, so every exchange on it — the config/top
+// handshake, windowed serves, warm-cache capture and replay, stats/obs
+// queries, the goodbye — is the shared QueuedWireBackend's
+// (sim/backend.hpp): drains of different tops interleave on the one
+// worker, and wire I/O runs outside the backend lock. This class only
+// forks the worker, reaps it, and fixes the failure policy:
 //
-// Parent <-> worker exchanges (one in flight at a time, serialized on an
-// internal mutex; Frame types of sim/messages.hpp):
-//   config / top                       -> ok | error          (at spawn)
-//   serve + n request frames           -> serving + n responses + done
-//                                         | error
-//   stats query                        -> stats | error
-//   cachewarm query / import           -> cachewarm | ok | error
-//   shutdown                           -> bye, then worker exit
+//   - one attempt per drain, no in-drain re-submit: a worker death (EOF /
+//     failed write mid-exchange) reaps the corpse and fails the drain with
+//     the batch still queued, and the cluster's failed-drain path retries
+//     it on its next round — when the backend respawns a fresh worker and
+//     replays its tops and warm caches;
+//   - one serve exchange per drain (no backpressure window: the worker is
+//     this process's own child);
+//   - before each drain, a worker found dead (waitpid) is replaced up
+//     front, so a worker killed between drains costs no failed drain.
+//
+// A restarted worker restarts its counters and caches (exactly like any
+// real process-level state); results are unaffected because caches never
+// change results.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "net/line_channel.hpp"
 #include "sim/backend.hpp"
 
 namespace ffsm {
@@ -50,10 +52,11 @@ struct SubprocessBackendOptions {
   std::string worker_path;
   /// Wire-safe service options sent to the worker at every (re)spawn.
   ShardServiceConfig config = {};
-  /// Optional observability context (nullptr = uninstrumented): the
-  /// backend emits a `worker.respawn` instant event per respawn, and
-  /// obs_snapshot() pulls the worker's own counters/histograms/spans over
-  /// the wire (kObs).
+  /// Optional observability context (nullptr = uninstrumented): wire
+  /// encode/decode/round-trip timing (see WireConversation), a
+  /// `worker.respawn` instant event per respawn, and obs_snapshot()
+  /// pulling the worker's own counters/histograms/spans over the wire
+  /// (kObs).
   obs::Obs* obs = nullptr;
 };
 
@@ -65,18 +68,11 @@ class SubprocessBackend final : public QueuedWireBackend {
   SubprocessBackend(const SubprocessBackend&) = delete;
   SubprocessBackend& operator=(const SubprocessBackend&) = delete;
 
-  // add_top / validate / submit / pending / discard_pending: the shared
-  // parent-side queueing of QueuedWireBackend.
-  std::vector<FusionResponse> drain(const std::string& key) override;
-  /// Worker counters for `key`; all-zero when no worker is running (a
-  /// fresh or just-crashed shard really has served nothing), with
-  /// `restarts` filled parent-side from the spawn count.
-  [[nodiscard]] ServiceStats stats(const std::string& key) const override;
-  /// The live worker's observability snapshot via a kObs exchange; empty
-  /// when no worker is running or the query fails (the next drain
-  /// respawns).
-  [[nodiscard]] obs::ObsSnapshot obs_snapshot() override;
-  /// Graceful worker termination (`shutdown` + EOF + waitpid). Queued
+  // add_top / validate / submit / pending / discard_pending / drain /
+  // stats / obs_snapshot / connected: the shared wire backend. stats()
+  // fills `restarts` parent-side from the spawn count.
+
+  /// Graceful worker termination (goodbye + EOF + waitpid). Queued
   /// requests stay queued; the next drain() respawns.
   void shutdown() override;
 
@@ -87,34 +83,19 @@ class SubprocessBackend final : public QueuedWireBackend {
   [[nodiscard]] std::uint64_t spawns() const;
 
  private:
-  /// A live worker learns new tops immediately; otherwise the next
-  /// ensure_worker_locked() registers them with the rest.
-  void register_added_top_locked(const std::string& key) override;
+  /// Reuses a running worker, or replaces a dead one: spawn + handshake.
+  /// Throws NetError when the worker dies before answering and
+  /// ContractViolation on a spawn failure or a refused handshake.
+  void connect() override;
+  /// Reaps the dropped conversation's worker (SIGKILL + waitpid), if any.
+  void on_drop_locked() noexcept override;
+  void fill_parent_counters_locked(ServiceStats& stats) const override;
 
-  /// Spawns + negotiates + configures + re-registers tops if no worker is
-  /// running. Throws ContractViolation on spawn or handshake failure.
-  void ensure_worker_locked();
-  /// Reaps the worker (SIGKILL + waitpid) and closes the channel.
-  void kill_worker_locked() noexcept;
-  /// Sends the frame for one top and expects an ok frame.
-  void register_top_locked(const std::string& key, const TopState& top);
-  /// Ships a top's warm cache snapshot (if any) and expects an ok frame —
-  /// the import half of the kCacheWarm handoff, run at every (re)spawn.
-  void replay_warm_locked(const std::string& key, const TopState& top);
-
-  /// I/O over the channel (net::LineChannel: full-buffer SIGPIPE-safe
-  /// sends). send throws on a dead peer via die_locked; expect_frame
-  /// throws (after reaping) on EOF or a transport error, and lets a
-  /// malformed frame's ContractViolation propagate for the caller to
-  /// decide.
-  void send_locked(std::string_view data);
-  [[nodiscard]] Frame expect_frame_locked(const char* context);
-  [[noreturn]] void die_locked(const std::string& what);
+  /// Forks the worker on a fresh socketpair and runs the handshake.
+  void spawn_locked();
 
   SubprocessBackendOptions options_;
   int worker_pid_ = 0;
-  net::LineChannel channel_;
-  WireCodec codec_;
   std::uint64_t spawns_ = 0;
 };
 

@@ -7,38 +7,11 @@
 
 #include <cerrno>
 #include <sstream>
-#include <utility>
 
 #include "sim/subprocess_backend.hpp"
 #include "util/contracts.hpp"
 
 namespace ffsm {
-namespace {
-
-// The one place TcpBackendOptions maps onto ReplicaBackendOptions: every
-// serving knob of either struct must appear here (see the lockstep note
-// on TcpBackendOptions) — a field missing from this copy is silently
-// dropped for TcpBackend users.
-ReplicaBackendOptions as_replica_options(TcpBackendOptions options) {
-  FFSM_EXPECTS(options.port != 0);
-  ReplicaBackendOptions replica;
-  replica.endpoints = {{std::move(options.host), options.port}};
-  replica.config = std::move(options.config);
-  replica.connect_timeout = options.connect_timeout;
-  replica.connect_retry = options.connect_retry;
-  replica.serve_retry = options.serve_retry;
-  replica.serve_window = options.serve_window;
-  replica.keepalive_idle_s = options.keepalive_idle_s;
-  replica.keepalive_interval_s = options.keepalive_interval_s;
-  replica.keepalive_probes = options.keepalive_probes;
-  replica.obs = options.obs;
-  return replica;
-}
-
-}  // namespace
-
-TcpBackend::TcpBackend(TcpBackendOptions options)
-    : ReplicaBackend(as_replica_options(std::move(options))) {}
 
 // ------------------------------------------------- ListenerWorkerProcess
 

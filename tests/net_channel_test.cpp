@@ -1,7 +1,7 @@
 // net transport primitives: listener/connect round trips on loopback,
-// full-buffer sends of payloads far beyond one syscall, frame reads, and
-// the failure surface — refused connections, torn streams and dead peers
-// all as NetError, never a crash or a SIGPIPE.
+// full-buffer sends and exact reads of payloads far beyond one syscall,
+// line reads, and the failure surface — refused connections, torn streams
+// and dead peers all as NetError, never a crash or a SIGPIPE.
 #include "net/line_channel.hpp"
 
 #include <gtest/gtest.h>
@@ -82,26 +82,26 @@ TEST(NetListener, EphemeralPortAcceptsLoopbackConnections) {
 }
 
 TEST(NetChannel, LargeFramesCrossInFullBothWays) {
-  // A payload far beyond one send/recv syscall: the full-buffer loops are
-  // what the worker's serve exchanges (many KB of machine text and
-  // partition frames) depend on.
-  std::string big_line(1 << 20, 'x');
-  big_line += "|tail";
-  const std::string frame = "header\n" + big_line + "\nend\n";
+  // A payload far beyond one send/recv syscall: the full-buffer send loop
+  // and read_exact — the read every binary frame header and payload goes
+  // through — are what the worker's serve exchanges (many KB of machine
+  // text and partition frames) depend on.
+  std::string frame(1 << 20, 'x');
+  frame += "|tail";
 
   Listener listener(0);
-  std::thread echo([&listener] {
+  std::thread echo([&listener, size = frame.size()] {
     LineChannel channel(listener.accept());
-    const std::string got =
-        channel.read_frame(channel.expect_line("echo header"), "echo");
+    std::string got(size, '\0');
+    ASSERT_TRUE(channel.read_exact(got.data(), got.size()));
     channel.send(got);  // echo the whole frame back
   });
 
   LineChannel channel(
       Socket::connect("127.0.0.1", listener.port(), milliseconds(2000)));
   channel.send(frame);
-  const std::string back =
-      channel.read_frame(channel.expect_line("reply header"), "reply");
+  std::string back(frame.size(), '\0');
+  ASSERT_TRUE(channel.read_exact(back.data(), back.size()));
   EXPECT_EQ(back, frame);
   echo.join();
 }
@@ -122,24 +122,19 @@ TEST(NetChannel, MidLineEofIsATornMessageNotACleanEnd) {
   client.join();
 }
 
-TEST(NetChannel, EofInsideAFrameThrowsWithContext) {
+TEST(NetChannel, EofInsideAnExactReadIsATornMessage) {
+  // A peer that closes after part of a binary frame: EOF before the first
+  // byte is a clean end (false), EOF after it is a torn message.
   Listener listener(0);
   std::thread client([port = listener.port()] {
     Socket socket =
         Socket::connect("127.0.0.1", port, milliseconds(2000));
-    socket.send_all("header\nbody but never an end marker\n");
+    socket.send_all("0123456789");  // 10 bytes of a 16-byte read
   });
   LineChannel channel(listener.accept());
-  try {
-    (void)channel.read_frame(channel.expect_line("test frame"),
-                             "test frame");
-    FAIL() << "a truncated frame must throw";
-  } catch (const NetError& error) {
-    EXPECT_NE(std::string(error.what()).find("test frame"),
-              std::string::npos)
-        << error.what();
-  }
   client.join();
+  char bytes[16];
+  EXPECT_THROW((void)channel.read_exact(bytes, sizeof(bytes)), NetError);
 }
 
 TEST(NetChannel, DeadlineReadFailsInBoundedTimeOnASilentPeer) {
@@ -167,33 +162,22 @@ TEST(NetChannel, DeadlineReadFailsInBoundedTimeOnASilentPeer) {
   EXPECT_EQ(line, "torn without a newline but finished later");
 }
 
-TEST(NetChannel, DeadlineFrameReadBoundsTheWholeFrame) {
-  // A header followed by a trickle that never reaches `end`: read_frame's
-  // single deadline covers the whole frame, so the trickling peer cannot
-  // stretch it line by line.
+TEST(NetChannel, DeadlineExactReadFailsInBoundedTimeOnASilentPeer) {
+  // The worker's frame reads: once a frame has begun, the rest must
+  // arrive by the deadline. A peer that sends part of one and goes silent
+  // (still connected) fails the read when the deadline passes.
   Listener listener(0);
   Socket client =
       Socket::connect("127.0.0.1", listener.port(), milliseconds(2000));
   LineChannel channel(listener.accept());
-  client.send_all("header\nbody line\n");  // never an `end`
+  client.send_all("half");
 
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW((void)channel.read_frame(
-                   channel.expect_line("frame", start + milliseconds(500)),
-                   "frame", start + milliseconds(500)),
+  char bytes[8];
+  EXPECT_THROW((void)channel.read_exact(bytes, sizeof(bytes),
+                                        start + milliseconds(100)),
                NetError);
   EXPECT_LT(std::chrono::steady_clock::now() - start, milliseconds(5000));
-
-  // An already-buffered frame needs no fresh bytes: an expired deadline
-  // does not fail reads the buffer can serve.
-  client.send_all("header\nbody\nend\n");
-  std::string line;
-  ASSERT_TRUE(channel.read_line(
-      line, std::chrono::steady_clock::now() + milliseconds(2000)));
-  const std::string frame =
-      channel.read_frame(line, "buffered frame",
-                         std::chrono::steady_clock::now() + milliseconds(2000));
-  EXPECT_EQ(frame, "header\nbody\nend\n");
 }
 
 TEST(NetSocket, ConnectToClosedPortFailsWithNetError) {

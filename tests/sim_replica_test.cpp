@@ -226,8 +226,9 @@ TEST(ReplicaBackend, FailsBackToARevivedPrimaryWithoutDroppingWork) {
 
 TEST(ReplicaCluster, DrainSurvivesPrimaryKillWithoutARequeue) {
   // The improvement over single-endpoint TCP in one assert: the same
-  // mid-serve SIGKILL that costs TcpBackend a failed drain + re-queue
-  // round (sim_tcp_test) completes in ONE drain through the secondary.
+  // mid-serve SIGKILL that costs a one-endpoint backend a failed drain +
+  // re-queue round (sim_tcp_test) completes in ONE drain through the
+  // secondary.
   ReplicaFixture fx;
   auto primary = std::make_unique<ListenerWorkerProcess>();
   ListenerWorkerProcess secondary;

@@ -182,6 +182,28 @@ TEST(SubprocessBackend, RespawnReplaysWarmCacheToTheFreshWorker) {
   EXPECT_EQ(second[1].result.partitions, first[1].result.partitions);
 }
 
+TEST(SubprocessBackend, InstrumentedDrainRecordsWireTiming) {
+  // The subprocess shard speaks through the same WireConversation as the
+  // TCP shards, so its drains fill the same wire.* histograms: a counter
+  // means the same thing on every backend.
+  const SubprocessFixture fx;
+  obs::Obs obs;
+  SubprocessBackendOptions options;
+  options.config.parallel = false;
+  options.obs = &obs;
+  SubprocessBackend backend(options);
+  backend.add_top("small", fx.small.top);
+  backend.submit("small", "a", {fx.small_originals, 1});
+  ASSERT_EQ(backend.drain("small").size(), 1u);
+
+  const obs::ObsSnapshot snapshot = obs.snapshot();
+  for (const char* name : {"wire.encode", "wire.decode", "wire.roundtrip"}) {
+    const auto it = snapshot.histograms.find(name);
+    ASSERT_NE(it, snapshot.histograms.end()) << name;
+    EXPECT_GT(it->second.count(), 0u) << name;
+  }
+}
+
 TEST(SubprocessCluster, ServesBitIdenticallyToInProcessCluster) {
   const SubprocessFixture fx;
 

@@ -1,9 +1,10 @@
-// TcpBackend: remote shards over real sockets serve bit-identically to
-// direct generation, survive connect-refused and mid-serve connection
-// kills losslessly through the cluster's existing failed-drain re-queue
-// path (recovering once a listener respawns on the same port), and bound
-// in-flight serve frames by the backpressure window.
-#include "sim/tcp_backend.hpp"
+// The "tcp" backend kind, a one-endpoint ReplicaBackend: remote shards
+// over real sockets serve bit-identically to direct generation, survive
+// connect-refused and mid-serve connection kills losslessly through the
+// cluster's existing failed-drain re-queue path (recovering once a
+// listener respawns on the same port), and bound in-flight serve frames
+// by the backpressure window.
+#include "sim/replica_backend.hpp"
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -19,6 +20,7 @@
 #include "fusion/generator.hpp"
 #include "net/listener.hpp"
 #include "sim/cluster.hpp"
+#include "sim/tcp_backend.hpp"
 #include "test_support.hpp"
 #include "util/contracts.hpp"
 
@@ -50,9 +52,9 @@ struct TcpFixture {
 };
 
 /// Fast-failing options for tests: bounded waits, lean serial workers.
-TcpBackendOptions fast_options(std::uint16_t port) {
-  TcpBackendOptions options;
-  options.port = port;
+ReplicaBackendOptions fast_options(std::uint16_t port) {
+  ReplicaBackendOptions options;
+  options.endpoints = {{"127.0.0.1", port}};
   options.config.parallel = false;
   options.connect_timeout = milliseconds(2000);
   options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
@@ -69,7 +71,7 @@ std::uint16_t dead_port() {
 TEST(TcpBackend, ServesBitIdenticallyToDirectGeneration) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackend backend(fast_options(worker.port()));
+  ReplicaBackend backend(fast_options(worker.port()));
   backend.add_top("small", fx.small.top);
   EXPECT_FALSE(backend.connected());  // connect is lazy
   EXPECT_EQ(backend.connects(), 0u);
@@ -121,7 +123,7 @@ TEST(TcpBackend, ServesBitIdenticallyToDirectGeneration) {
 TEST(TcpBackend, ShutdownDropsTheConnectionNotTheListener) {
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackend backend(fast_options(worker.port()));
+  ReplicaBackend backend(fast_options(worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "a", {fx.small_originals, 1});
   const auto first = backend.drain("small");
@@ -144,7 +146,7 @@ TEST(TcpBackend, ShutdownDropsTheConnectionNotTheListener) {
 
 TEST(TcpBackend, ConnectRefusedKeepsEveryRequestQueued) {
   const TcpFixture fx;
-  TcpBackend backend(fast_options(dead_port()));
+  ReplicaBackend backend(fast_options(dead_port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "doomed", {fx.small_originals, 1});
   for (int round = 0; round < 2; ++round) {
@@ -165,9 +167,9 @@ TEST(TcpBackend, BackpressureWindowSaturationDrainsInBoundedExchanges) {
   // bit-identical to direct generation.
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackendOptions options = fast_options(worker.port());
+  ReplicaBackendOptions options = fast_options(worker.port());
   options.serve_window = 2;
-  TcpBackend backend(options);
+  ReplicaBackend backend(options);
   backend.add_top("small", fx.small.top);
 
   struct Ask {
@@ -232,9 +234,9 @@ TEST(TcpBackend, ServeExchangeSurvivesASignalStorm) {
   const ScopedNoopSigusr1 handler;
   const TcpFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackendOptions options = fast_options(worker.port());
+  ReplicaBackendOptions options = fast_options(worker.port());
   options.serve_window = 2;  // several exchanges => more interruptible I/O
-  TcpBackend backend(options);
+  ReplicaBackend backend(options);
   // The large fixture on purpose: the drain must run long enough (tens of
   // ms) for hundreds of signals to land inside the exchange, not finish
   // between two of them.
@@ -295,7 +297,7 @@ TEST(TcpBackend, ServeExchangeSurvivesASignalStorm) {
 /// A cluster whose every shard speaks TCP to the same worker process;
 /// raw backend pointers kept so tests can probe connections underneath.
 struct TcpCluster {
-  std::vector<TcpBackend*> backends;
+  std::vector<ReplicaBackend*> backends;
   std::unique_ptr<FusionCluster> cluster;
 
   TcpCluster(const TcpFixture& fx, std::uint16_t port,
@@ -303,7 +305,7 @@ struct TcpCluster {
     FusionClusterOptions options;
     options.shards = shards;
     options.backend_factory = [this, port](std::size_t) {
-      auto backend = std::make_unique<TcpBackend>(fast_options(port));
+      auto backend = std::make_unique<ReplicaBackend>(fast_options(port));
       backends.push_back(backend.get());
       return backend;
     };
@@ -312,7 +314,7 @@ struct TcpCluster {
     cluster->add_top("large", fx.large.top);
   }
 
-  TcpBackend& backend_of(const std::string& key) const {
+  ReplicaBackend& backend_of(const std::string& key) const {
     return *backends[cluster->shard_of(key)];
   }
 };
@@ -382,7 +384,7 @@ TEST(TcpCluster, MidServeConnectionKillIsLosslessAndListenerRespawnHeals) {
   cluster.submit("large", "warm", {fx.large_originals, 1});
   const auto first = cluster.drain();
   ASSERT_EQ(first.responses.size(), 2u);
-  TcpBackend& backend = tcp.backend_of("small");
+  ReplicaBackend& backend = tcp.backend_of("small");
   ASSERT_TRUE(backend.connected());
   ASSERT_EQ(backend.connects(), 1u);
 

@@ -22,6 +22,7 @@
 #include "sim/backend_config.hpp"
 #include "sim/cluster.hpp"
 #include "sim/messages.hpp"
+#include "sim/replica_backend.hpp"
 #include "sim/subprocess_backend.hpp"
 #include "sim/tcp_backend.hpp"
 #include "test_support.hpp"
@@ -55,10 +56,10 @@ struct WireFixture {
   }
 };
 
-/// Fast-failing parent options.
-TcpBackendOptions wire_options(std::uint16_t port) {
-  TcpBackendOptions options;
-  options.port = port;
+/// Fast-failing parent options for a one-endpoint replica set.
+ReplicaBackendOptions wire_options(std::uint16_t port) {
+  ReplicaBackendOptions options;
+  options.endpoints = {{"127.0.0.1", port}};
   options.config.parallel = false;
   options.connect_timeout = milliseconds(2000);
   options.connect_retry = {2, milliseconds(10), milliseconds(50), 2};
@@ -67,7 +68,7 @@ TcpBackendOptions wire_options(std::uint16_t port) {
 }
 
 /// One drain of one request through `backend`, asserting bit-identity.
-void expect_serves(TcpBackend& backend, const WireFixture& fx) {
+void expect_serves(ReplicaBackend& backend, const WireFixture& fx) {
   backend.add_top("small", fx.small.top);
   backend.submit("small", "probe", {fx.small_originals, 1});
   const auto responses = backend.drain("small");
@@ -125,7 +126,7 @@ class ScriptedWorker {
 TEST(WireNegotiation, TcpConnectionNegotiatesBinary) {
   const WireFixture fx;
   ListenerWorkerProcess worker;
-  TcpBackend backend(wire_options(worker.port()));
+  ReplicaBackend backend(wire_options(worker.port()));
   EXPECT_FALSE(backend.connected());
   expect_serves(backend, fx);
   EXPECT_TRUE(backend.connected());
@@ -148,7 +149,7 @@ TEST(WireNegotiation, OldWorkerFailsTheDrainAndKeepsTheQueue) {
   // no retry scan, no fallback, and the request stays queued.
   const WireFixture fx;
   ScriptedWorker old_worker("error unknown%20command%20'hello'\n");
-  TcpBackend backend(wire_options(old_worker.port()));
+  ReplicaBackend backend(wire_options(old_worker.port()));
   backend.add_top("small", fx.small.top);
   backend.submit("small", "doomed", {fx.small_originals, 1});
   try {
@@ -272,17 +273,14 @@ TEST(WireNegotiation, VersionMismatchNeverFallsBackToText) {
   EXPECT_THROW(negotiate_wire(channel), ContractViolation);
 }
 
-TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
-  // Two tops, drained from two threads at once: both drains run as
-  // tagged exchanges multiplexed on the SAME connection —
-  // no second connect, every response on the right exchange, everything
-  // bit-identical. (Responses landing on the wrong exchange would decode
-  // into the wrong drain and fail the partition comparison.)
-  const WireFixture fx;
-  ListenerWorkerProcess worker;
-  TcpBackendOptions options = wire_options(worker.port());
-  options.serve_window = 2;  // several windows per drain => real overlap
-  TcpBackend backend(options);
+/// Two tops, drained from two threads at once through `backend`: both
+/// drains run as tagged exchanges multiplexed on the backend's one
+/// connection, every response lands on the right exchange, and everything
+/// is bit-identical. (Responses landing on the wrong exchange would decode
+/// into the wrong drain and fail the partition comparison.) The caller
+/// checks that no second connection was made.
+void expect_concurrent_top_drains(ShardBackend& backend,
+                                  const WireFixture& fx) {
   backend.add_top("small", fx.small.top);
   backend.add_top("large", fx.large.top);
   std::vector<std::uint64_t> small_tickets, large_tickets;
@@ -317,8 +315,6 @@ TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
   if (small_error) std::rethrow_exception(small_error);
   if (large_error) std::rethrow_exception(large_error);
 
-  EXPECT_EQ(backend.connects(), 1u) << "multiplexed drains must share the "
-                                       "one connection";
   ASSERT_EQ(small_responses.size(), small_tickets.size());
   ASSERT_EQ(large_responses.size(), large_tickets.size());
   for (std::size_t i = 0; i < small_responses.size(); ++i) {
@@ -335,6 +331,29 @@ TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
               fx.direct(false, f, DescentPolicy::kFewestBlocks).partitions)
         << i;
   }
+}
+
+TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneConnection) {
+  const WireFixture fx;
+  ListenerWorkerProcess worker;
+  ReplicaBackendOptions options = wire_options(worker.port());
+  options.serve_window = 2;  // several windows per drain => real overlap
+  ReplicaBackend backend(options);
+  expect_concurrent_top_drains(backend, fx);
+  EXPECT_EQ(backend.connects(), 1u) << "multiplexed drains must share the "
+                                       "one connection";
+}
+
+TEST(WireMultiplexing, ConcurrentTopDrainsInterleaveOnOneSubprocessWorker) {
+  // The same exchanges over a socketpair: the subprocess backend speaks
+  // through the same conversation, so both drains share one worker.
+  const WireFixture fx;
+  SubprocessBackendOptions options;
+  options.config.parallel = false;
+  SubprocessBackend backend(options);
+  expect_concurrent_top_drains(backend, fx);
+  EXPECT_EQ(backend.spawns(), 1u) << "multiplexed drains must share the "
+                                     "one worker";
 }
 
 TEST(WireMultiplexing, ClusterDrainInterleavesTopsOfOneShard) {
@@ -401,6 +420,10 @@ TEST(BackendConfigFactory, ValidatesBackendShapes) {
   EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
   config.endpoints = {{"localhost", 1}};
   EXPECT_TRUE(static_cast<bool>(make_backend_factory(config)));
+  // A tcp shard is a one-endpoint replica set (construction never
+  // connects, so nothing needs to listen there).
+  const std::unique_ptr<ShardBackend> tcp = make_backend_factory(config)(0);
+  EXPECT_NE(dynamic_cast<ReplicaBackend*>(tcp.get()), nullptr);
   config.endpoints = {{"localhost", 0}};  // a zero port is always a typo
   EXPECT_THROW((void)make_backend_factory(config), ContractViolation);
 

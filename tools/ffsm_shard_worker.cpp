@@ -7,8 +7,8 @@
 //   (default)        stdin/stdout — the SubprocessBackend socketpair
 //                    bridge; one connection, then exit.
 //   --listen <port>  a TCP listener (port 0 = ephemeral; the actual port
-//                    is announced as `listening <port>` on stdout) — the
-//                    TcpBackend's remote end. Each accepted connection is
+//                    is announced as `listening <port>` on stdout) — a
+//                    ReplicaBackend's remote end. Each accepted connection is
 //                    served on its own thread with its own clean state, so
 //                    several shards (or several clusters) can share one
 //                    worker process; `shutdown` ends the connection, not
