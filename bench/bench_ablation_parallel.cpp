@@ -1,7 +1,9 @@
 // Ablation E18: thread-pool fan-out of the two parallel hot paths —
 // fault-graph construction (rows of the triangular weight matrix) and
-// lower-cover evaluation (independent merge closures). Sweeps explicit pool
-// sizes so the speedup curve is visible on one machine.
+// lower-cover evaluation (lower_cover, the pruned fused evaluator: fixed
+// chunks of block-pair closures, then the maximality filter's rows). The
+// lower_cover_t* rows time that evaluator. Sweeps explicit pool sizes so
+// the speedup curve is visible on one machine.
 #include "bench_support.hpp"
 
 #include "fault/fault_graph.hpp"
@@ -73,40 +75,6 @@ void report() {
   }
   std::printf("%s\n", table.to_string().c_str());
 
-  // Dedup/maximality post-pass ablation: the pre-refactor serial
-  // unordered_set dedup + O(k^2) maximality scan against the sharded-hash
-  // parallel dedup + pool-parallel maximality filter, on the same
-  // closures. This was the serial bottleneck capping lower-cover scaling
-  // (Amdahl) before the refactor; covers must stay bit-identical.
-  std::printf("== Ablation: serial vs sharded dedup/maximality ==\n");
-  {
-    ThreadPool pool(8);
-    LowerCoverOptions serial_dedup;
-    serial_dedup.pool = &pool;
-    serial_dedup.sharded_dedup = false;
-    LowerCoverOptions sharded_dedup;
-    sharded_dedup.pool = &pool;
-    sharded_dedup.sharded_dedup = true;
-
-    std::vector<Partition> serial_result;
-    std::vector<Partition> sharded_result;
-    const double serial_ms = json.measure_ms(
-        "dedup_serial_t8",
-        [&] { serial_result = lower_cover(top, identity, serial_dedup); }, 3,
-        1);
-    const double sharded_ms = json.measure_ms(
-        "dedup_sharded_t8",
-        [&] { sharded_result = lower_cover(top, identity, sharded_dedup); },
-        3, 1);
-    bench::require(serial_result == sharded_result,
-                   "sharded dedup emits bit-identical covers");
-    const double speedup = sharded_ms > 0 ? serial_ms / sharded_ms : 0.0;
-    std::printf("lower_cover(256-top) @8 threads: serial dedup %.2f ms, "
-                "sharded dedup %.2f ms (%.2fx)\n\n",
-                serial_ms, sharded_ms, speedup);
-    json.add_metric("dedup", "sharded_speedup_t8", speedup);
-  }
-
   // Batched multi-client fan-out: many fusion requests sharing one top,
   // served by generate_fusion_batch with a shared closure cache, against
   // the same requests served one by one without sharing.
@@ -170,22 +138,6 @@ BENCHMARK(lower_cover_threads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-void lower_cover_dedup_mode(benchmark::State& state) {
-  const Dfsm top = big_counter_top();
-  const Partition identity = Partition::identity(top.size());
-  ThreadPool pool(8);
-  LowerCoverOptions options;
-  options.pool = &pool;
-  options.sharded_dedup = state.range(0) != 0;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(lower_cover(top, identity, options));
-  state.SetLabel(options.sharded_dedup ? "sharded" : "serial");
-}
-BENCHMARK(lower_cover_dedup_mode)
-    ->DenseRange(0, 1)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void fault_graph_threads(benchmark::State& state) {
   const auto parts = random_partitions(2048, 16, 9);
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -201,7 +153,8 @@ BENCHMARK(fault_graph_threads)
     ->UseRealTime();
 
 void serial_vs_parallel_generation(benchmark::State& state) {
-  // End-to-end Algorithm 2 with and without parallel lower covers.
+  // End-to-end Algorithm 2: the serial skeleton (the classic-evaluator
+  // oracle) against the speculative engine.
   const CrossProduct cp = bench::counter_pair_product(12);
   const auto originals = bench::original_partitions(cp);
   GenerateOptions options;

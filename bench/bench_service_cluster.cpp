@@ -8,10 +8,12 @@
 // (tcp-bin), and a two-replica seed list per shard (replica-tcp) with a
 // live HealthMonitor probing both replicas — must serve bit-identical
 // responses to the in-process one for the same request stream — all
-// hard-asserted here, so a violation fails CI, as is the TCP wire's cold
-// drain landing within 15% of in-process. The JSON entries carry a
-// "backend" field so in-process vs subprocess vs tcp-bin vs replica-tcp
-// overhead is tracked in the perf history.
+// hard-asserted here, so a violation fails CI at once. The wall-clock
+// gates (TCP wire's cold drain within 15% of in-process, among others)
+// fail the run too, but only after every section has run and the JSON
+// has been written, so a timing miss cannot skip a determinism check.
+// The JSON entries carry a "backend" field so in-process vs subprocess vs
+// tcp-bin vs replica-tcp overhead is tracked in the perf history.
 #include "bench_support.hpp"
 
 #include <algorithm>
@@ -57,6 +59,28 @@ Workload make_workload() {
   return w;
 }
 
+/// The bench's wall-clock gates. Their bounds divide noisy timings, so a
+/// miss is recorded rather than thrown at once: the bit-identity and
+/// counter checks of the later sections still run (they throw at once via
+/// bench::require). raise() fails the run after every section has run.
+class TimingGates {
+ public:
+  /// Prints a miss as bench::require() does and remembers it.
+  void check(bool ok, const char* what) {
+    if (ok) return;
+    std::fprintf(stderr, "BENCH CHECK FAILED: %s\n", what);
+    missed_.emplace_back(what);
+  }
+
+  /// Throws the first miss, if any.
+  void raise() const {
+    if (!missed_.empty()) throw bench::CheckFailed(missed_.front());
+  }
+
+ private:
+  std::vector<std::string> missed_;
+};
+
 std::unique_ptr<FusionCluster> make_cluster(const Workload& w,
                                             ThreadPool* pool,
                                             LowerCoverCacheConfig config) {
@@ -85,7 +109,7 @@ void submit_clients(FusionCluster& cluster, const Workload& w) {
 }
 
 void report_caches(bench::JsonReporter& json, const Workload& w,
-                   ThreadPool& pool) {
+                   ThreadPool& pool, TimingGates& timing) {
   std::printf("== Service cluster: clients x tops x bounded caches ==\n");
   json.set_backend("inprocess");  // this whole section serves in-process
   const std::size_t clients = 8 * w.keys.size();
@@ -221,8 +245,8 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
                   lfu_cap4_warm_ms / lru_cap4_warm_ms);
   json.add_metric("lfu_admit_cap4", "warm_closures_vs_lru_cap4",
                   lfu_cap4_warm_closures / lru_cap4_warm_closures);
-  bench::require(lfu_cap4_warm_ms <= 0.5 * lru_cap4_warm_ms,
-                 "lfu_admit warm drain at most half of lru at capacity 4");
+  timing.check(lfu_cap4_warm_ms <= 0.5 * lru_cap4_warm_ms,
+               "lfu_admit warm drain at most half of lru at capacity 4");
   bench::require(
       lfu_cap4_warm_closures <= 0.5 * lru_cap4_warm_closures,
       "lfu_admit warm-drain closures at most half of lru at capacity 4");
@@ -234,7 +258,7 @@ void report_caches(bench::JsonReporter& json, const Workload& w,
 /// hard-asserted in-bench — and the TCP wire's cold drain required to
 /// land within 15% of the in-process baseline.
 void report_backends(bench::JsonReporter& json, const Workload& w,
-                     ThreadPool& pool) {
+                     ThreadPool& pool, TimingGates& timing) {
   std::printf(
       "== Serving backends: in-process vs subprocess vs tcp-bin vs "
       "replica-tcp shards ==\n");
@@ -405,8 +429,8 @@ void report_backends(bench::JsonReporter& json, const Workload& w,
               tcp_bin_cold_ms, inprocess_cold_ms);
   json.add_metric("tcp-bin", "cold_drain_vs_inprocess",
                   tcp_bin_cold_ms / inprocess_cold_ms);
-  bench::require(tcp_bin_cold_ms <= 1.15 * inprocess_cold_ms,
-                 "binary-wire cold drain within 15% of in-process");
+  timing.check(tcp_bin_cold_ms <= 1.15 * inprocess_cold_ms,
+               "binary-wire cold drain within 15% of in-process");
 }
 
 /// One sample value out of an exposition body: the number after the first
@@ -441,7 +465,7 @@ std::uint64_t scraped_value(const std::string& body,
 ///      parent-side cluster.serve_top span ids, so the Chrome export of
 ///      this snapshot renders the cross-process serve as one tree.
 void report_obs(bench::JsonReporter& json, const Workload& w,
-                ThreadPool& pool) {
+                ThreadPool& pool, TimingGates& timing) {
   std::printf("== Observability: no-op recorder vs instrumented drains ==\n");
   json.set_backend("inprocess");
   const std::size_t clients = 8 * w.keys.size();
@@ -576,11 +600,11 @@ void report_obs(bench::JsonReporter& json, const Workload& w,
   json.add_metric("obs", "instrumented_vs_noop", live_ratio);
   json.add_metric("obs", "polled_warm_drain_ms", polled_ms);
   json.add_metric("obs", "polled_vs_noop", polled_ratio);
-  bench::require(live_ratio <= 1.05,
-                 "instrumented drain within 5% of the no-op recorder");
-  bench::require(polled_ratio <= 1.05,
-                 "windowed telemetry collection within 5% of the no-op "
-                 "recorder");
+  timing.check(live_ratio <= 1.05,
+               "instrumented drain within 5% of the no-op recorder");
+  timing.check(polled_ratio <= 1.05,
+               "windowed telemetry collection within 5% of the no-op "
+               "recorder");
 
   // Content: instrumented serving over the binary wire to a real worker
   // process. The merged snapshot must show where the milliseconds went at
@@ -719,9 +743,14 @@ void report() {
   bench::JsonReporter json("service_cluster");
   const Workload w = make_workload();
   ThreadPool pool(8);
-  report_caches(json, w, pool);
-  report_backends(json, w, pool);
-  report_obs(json, w, pool);
+  TimingGates timing;
+  report_caches(json, w, pool, timing);
+  report_backends(json, w, pool, timing);
+  report_obs(json, w, pool, timing);
+  // Every check held except possibly a timing gate: keep the perf record
+  // of the run, then fail it if a gate was missed.
+  json.write();
+  timing.raise();
 }
 
 void cluster_drain(benchmark::State& state) {

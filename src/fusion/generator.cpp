@@ -75,6 +75,14 @@ std::vector<std::size_t> rank_viable(
   return order;
 }
 
+/// lower_cover_classic in lower_cover_cached's evaluator shape: the
+/// non-speculative skeleton's evaluator, so that it stays an oracle
+/// independent of the pruned evaluator the speculative engine runs.
+std::vector<Partition> classic_cover(const Dfsm& top, const Partition& p,
+                                     const LowerCoverOptions& /*unused*/) {
+  return lower_cover_classic(top, p);
+}
+
 /// In-flight speculative lower-cover prefetches, keyed by the partition
 /// descended from. Single-consumer: launch/consume/abandon_all run on the
 /// descent thread only; each prefetch task writes its own slot (read by
@@ -224,10 +232,6 @@ FusionResult generate_fusion_speculative(const Dfsm& top,
   LowerCoverOptions cover_options;
   cover_options.pool = options.pool;
   cover_options.parallel = true;
-  // The fused evaluator is the speculative engine's closure backend:
-  // bit-identical covers, one seeded union-find restored per pair instead
-  // of a fresh congruence closure each (see MergeClosureEngine).
-  cover_options.fused = true;
   cover_options.cache = cache;
   cover_options.obs = options.obs;
 
@@ -349,7 +353,8 @@ FusionResult generate_fusion(const Dfsm& top,
   // The speculative engine needs both a pool to speculate on and the
   // incremental invariants (stable cache, delta-maintained graph). The
   // serial path and the recompute-everything ablation keep the reference
-  // skeleton below.
+  // skeleton below, which evaluates covers with the serial classic
+  // evaluator: it is the oracle the speculative engine is checked against.
   if (options.parallel && options.incremental)
     return generate_fusion_speculative(top, originals, options);
 
@@ -374,8 +379,6 @@ FusionResult generate_fusion(const Dfsm& top,
           : (options.cache != nullptr ? options.cache : &local_cache);
 
   LowerCoverOptions cover_options;
-  cover_options.pool = options.pool;
-  cover_options.parallel = options.parallel;
   cover_options.cache = cache;
   cover_options.obs = options.obs;
 
@@ -408,8 +411,8 @@ FusionResult generate_fusion(const Dfsm& top,
     while (true) {
       const std::uint32_t blocks = current.block_count();
       bool from_cache = false;
-      const auto cover =
-          lower_cover_cached(top, current, cover_options, &from_cache);
+      const auto cover = lower_cover_cached(top, current, cover_options,
+                                            &from_cache, classic_cover);
       result.stats.candidates_examined += cover->size();
       if (from_cache)
         ++result.stats.cover_cache_hits;
@@ -460,10 +463,8 @@ std::vector<FusionResult> generate_fusion_batch(
   // keeps the workers from duplicating it while the cache is still cold.
   // Pointless when incremental=false: the per-request runs ignore the cache.
   if (options.incremental && requests.size() > 1) {
-    LowerCoverOptions prewarm_options = cover_options;
-    prewarm_options.fused = true;  // same covers, leaner evaluation
     const auto identity_cover = lower_cover_cached(
-        top, Partition::identity(top.size()), prewarm_options);
+        top, Partition::identity(top.size()), cover_options);
     // One level deeper: every descent's second step starts from some child
     // of identity, and the policies concentrate on their top-ranked child,
     // so prewarm that one per distinct policy in the batch. A heuristic
@@ -480,7 +481,7 @@ std::vector<FusionResult> generate_fusion_batch(
     for (const DescentPolicy policy : policies)
       if (!children.empty())
         (void)lower_cover_cached(top, *children[pick(children, policy)],
-                                 prewarm_options);
+                                 cover_options);
   }
 
   // Exceptions must not escape on a pool worker (that terminates the

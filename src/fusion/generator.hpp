@@ -60,15 +60,19 @@ struct GenerateOptions {
   /// Crash faults to tolerate (use 2*f here to tolerate f Byzantine faults).
   std::uint32_t f = 1;
   DescentPolicy policy = DescentPolicy::kFewestBlocks;
-  /// Fan lower-cover closure evaluation out across the thread pool.
+  /// Run the speculative engine (with `incremental`), which fans the
+  /// pruned lower_cover out across the thread pool. false runs the serial
+  /// skeleton with the classic evaluator (lower_cover_classic): the oracle
+  /// the speculative engine is checked against, same results.
   bool parallel = true;
   ThreadPool* pool = nullptr;
   /// Incremental engine (default): maintain the fault graph / weakest-edge
   /// set by delta updates as fusion machines are added (paper Lemma 1) and
   /// memoize lower covers across outer iterations. When false, every outer
   /// iteration rebuilds the fault graph from scratch and recomputes every
-  /// closure — the ablation baseline (bench_ablation_incremental). Both
-  /// modes return bit-identical results.
+  /// closure — the ablation baseline (bench_ablation_incremental), which
+  /// like parallel = false runs the serial skeleton with the classic
+  /// evaluator. Both modes return bit-identical results.
   bool incremental = true;
   /// Optional lower-cover memo shared across calls; must be dedicated to
   /// `top`. nullptr = a private per-call cache. Ignored entirely when

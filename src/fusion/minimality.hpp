@@ -26,11 +26,11 @@
 namespace ffsm {
 
 /// True iff `fusion` is a minimal (f, |fusion|)-fusion of `originals`.
-/// Also returns false when `fusion` is not a fusion at all.
+/// Also returns false when `fusion` is not a fusion at all. A checker, so
+/// it walks lower covers with the classic evaluator (lower_cover_classic).
 [[nodiscard]] bool is_minimal_fusion(const Dfsm& top,
                                      std::span<const Partition> originals,
                                      std::span<const Partition> fusion,
-                                     std::uint32_t f,
-                                     const LowerCoverOptions& options = {});
+                                     std::uint32_t f);
 
 }  // namespace ffsm

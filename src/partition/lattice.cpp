@@ -26,8 +26,7 @@ std::vector<std::uint32_t> ClosedPartitionLattice::basis() const {
 }
 
 ClosedPartitionLattice enumerate_lattice(const Dfsm& machine,
-                                         std::size_t max_nodes,
-                                         const LowerCoverOptions& options) {
+                                         std::size_t max_nodes) {
   ClosedPartitionLattice lattice;
   std::unordered_map<Partition, std::uint32_t, PartitionHash> index;
 
@@ -48,7 +47,7 @@ ClosedPartitionLattice enumerate_lattice(const Dfsm& machine,
     // Copy: intern() may grow the node vector while we iterate the cover.
     const Partition current = lattice.nodes[head].partition;
     std::vector<std::uint32_t> lower;
-    for (Partition& below : lower_cover(machine, current, options))
+    for (Partition& below : lower_cover_classic(machine, current))
       lower.push_back(intern(std::move(below)));
     lattice.nodes[head].lower = std::move(lower);
   }

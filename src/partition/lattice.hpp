@@ -3,9 +3,9 @@
 // The lattice of all closed partitions of a machine can be exponentially
 // large; the paper stresses that the fusion algorithm never materialises it.
 // This module exists for the *small* cases — reproducing Fig. 3, exploring
-// examples, and cross-checking lower_cover against the full lattice in
-// tests. Enumeration walks downward from the identity partition through
-// lower covers with deduplication and a hard node cap.
+// examples, and the exhaustive oracles in tests. Enumeration walks
+// downward from the identity partition through lower covers with
+// deduplication and a hard node cap.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +41,12 @@ struct ClosedPartitionLattice {
   [[nodiscard]] std::vector<std::uint32_t> basis() const;
 };
 
-/// Enumerates every closed partition of `machine`. Throws ContractViolation
-/// when more than `max_nodes` distinct closed partitions exist.
+/// Enumerates every closed partition of `machine` through the classic
+/// evaluator (lower_cover_classic), so the exhaustive oracles built on the
+/// lattice stay independent of lower_cover. Throws ContractViolation when
+/// more than `max_nodes` distinct closed partitions exist.
 [[nodiscard]] ClosedPartitionLattice enumerate_lattice(
-    const Dfsm& machine, std::size_t max_nodes = 4096,
-    const LowerCoverOptions& options = {});
+    const Dfsm& machine, std::size_t max_nodes = 4096);
 
 /// Graphviz rendering of the cover relation; node labels show the blocks
 /// using the machine's state names.

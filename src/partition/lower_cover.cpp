@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <span>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -311,7 +310,7 @@ void LowerCoverCache::import(const std::vector<WarmCacheEntry>& entries) {
 
 std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
     const Dfsm& machine, const Partition& p, const LowerCoverOptions& options,
-    bool* from_cache) {
+    bool* from_cache, CoverEvaluator evaluate) {
   obs::Obs* const obs = options.obs;
   const bool timed = obs != nullptr && obs->enabled();
   if (from_cache != nullptr) *from_cache = false;
@@ -328,7 +327,7 @@ std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
   {
     obs::ScopedSpan span(obs, "gen.lower_cover");
     computed = std::make_shared<const LowerCoverCache::Cover>(
-        lower_cover(machine, p, options));
+        evaluate(machine, p, options));
   }
   if (options.cache != nullptr) {
     const std::uint64_t insert_start = timed ? obs->now_us() : 0;
@@ -341,136 +340,65 @@ std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
 
 namespace {
 
-/// Pre-refactor serial post-pass (ablation baseline): unordered_set dedup
-/// with first-occurrence order, then an O(k^2) serial maximality scan.
-std::vector<Partition> postpass_serial(std::vector<Partition>&& candidates) {
-  std::vector<Partition> unique;
-  {
-    std::unordered_set<std::size_t> seen;
-    for (auto& c : candidates) {
-      // hash()-based pre-filter, exact check on collision.
-      const std::size_t h = c.hash();
-      if (seen.contains(h)) {
-        bool duplicate = false;
-        for (const auto& u : unique)
-          if (u == c) {
-            duplicate = true;
-            break;
-          }
-        if (duplicate) continue;
-      }
-      seen.insert(h);
-      unique.push_back(std::move(c));
-    }
-  }
+/// Every unordered pair of p's blocks, as a pair of block representatives
+/// in lexicographic block order: the enumeration both evaluators walk, and
+/// so the order their covers come out in. Empty for the bottom.
+std::vector<std::pair<State, State>> block_pairs(const Dfsm& machine,
+                                                 const Partition& p) {
+  FFSM_EXPECTS(p.size() == machine.size());
+  FFSM_EXPECTS(is_closed(machine, p));
 
-  // Keep maximal elements: drop q when some other candidate r sits strictly
-  // between q and p (q < r). Every candidate is < p already.
-  std::vector<Partition> result;
-  for (std::size_t i = 0; i < unique.size(); ++i) {
-    bool dominated = false;
-    for (std::size_t j = 0; j < unique.size() && !dominated; ++j)
-      if (i != j && Partition::less(unique[i], unique[j])) dominated = true;
-    if (!dominated) result.push_back(unique[i]);
-  }
-  return result;
+  const std::uint32_t blocks = p.block_count();
+  if (blocks <= 1) return {};
+  std::vector<State> rep(blocks, kInvalidState);
+  for (State s = 0; s < p.size(); ++s)
+    if (rep[p.block_of(s)] == kInvalidState) rep[p.block_of(s)] = s;
+
+  std::vector<std::pair<State, State>> pairs;
+  pairs.reserve(static_cast<std::size_t>(blocks) * (blocks - 1) / 2);
+  for (std::uint32_t i = 0; i < blocks; ++i)
+    for (std::uint32_t j = i + 1; j < blocks; ++j)
+      pairs.emplace_back(rep[i], rep[j]);
+  return pairs;
 }
 
-/// Sharded-hash parallel dedup + pool-parallel maximality filter. Equal
-/// partitions have equal hashes, so sharding candidates by hash makes the
-/// shards independent: no duplicate pair ever straddles two shards. Each
-/// shard keeps the *lowest* index of every distinct partition it sees, and
-/// re-sorting the surviving indices restores first-occurrence order —
-/// exactly the serial post-pass's output, at any thread count.
-std::vector<Partition> postpass_sharded(std::vector<Partition>&& candidates,
-                                        const LowerCoverOptions& options) {
-  const std::size_t n = candidates.size();
-  ParallelOptions popt;
-  popt.pool = options.pool;
-  popt.serial_threshold = 16;
-
-  std::vector<std::size_t> hashes(n);
-  const auto hash_one = [&](std::size_t i) {
-    hashes[i] = candidates[i].hash();
-  };
-  if (options.parallel) {
-    parallel_for(0, n, hash_one, popt);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) hash_one(i);
-  }
-
-  // Shard count is fixed (not thread-count-derived) so the work split —
-  // and therefore every intermediate — is identical on any pool.
-  constexpr std::size_t kShards = 32;
-  std::vector<std::vector<std::size_t>> survivors(kShards);
-  const auto dedup_shard = [&](std::size_t s) {
-    // hash -> surviving indices with that hash (collision chain).
-    std::unordered_map<std::size_t, std::vector<std::size_t>> by_hash;
-    auto& out = survivors[s];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (hashes[i] % kShards != s) continue;
-      auto& chain = by_hash[hashes[i]];
-      bool duplicate = false;
-      for (const std::size_t j : chain)
-        if (candidates[j] == candidates[i]) {
-          duplicate = true;
-          break;
-        }
-      if (duplicate) continue;
-      chain.push_back(i);
-      out.push_back(i);
-    }
-  };
-  // Each shard scans the whole index range (an integer filter — cheap next
-  // to the closures); tiny inputs stay serial to skip the fan-out cost.
-  if (options.parallel && n >= 64) {
-    ParallelOptions shard_popt = popt;
-    shard_popt.serial_threshold = 2;
-    parallel_for(0, kShards, dedup_shard, shard_popt);
-  } else {
-    for (std::size_t s = 0; s < kShards; ++s) dedup_shard(s);
-  }
-
-  std::vector<std::size_t> order;
-  for (const auto& shard : survivors)
-    order.insert(order.end(), shard.begin(), shard.end());
-  std::sort(order.begin(), order.end());
-
-  std::vector<Partition> unique;
-  unique.reserve(order.size());
-  for (const std::size_t i : order) unique.push_back(std::move(candidates[i]));
-
-  // Maximality: one row per survivor, rows independent.
-  const std::size_t k = unique.size();
+/// The candidates that lie strictly below no other candidate, in their
+/// given order; `candidates` must be distinct. The rows of the O(k^2) scan
+/// are independent, so with `parallel` they fan out on `pool`.
+std::vector<Partition> keep_maximal(std::vector<Partition> candidates,
+                                    bool parallel, ThreadPool* pool) {
+  const std::size_t k = candidates.size();
   std::vector<char> dominated(k, 0);
   const auto scan_row = [&](std::size_t i) {
     for (std::size_t j = 0; j < k; ++j)
-      if (i != j && Partition::less(unique[i], unique[j])) {
+      if (i != j && Partition::less(candidates[i], candidates[j])) {
         dominated[i] = 1;
         return;
       }
   };
-  if (options.parallel) {
+  if (parallel) {
+    ParallelOptions popt;
+    popt.pool = pool;
+    popt.serial_threshold = 16;
     parallel_for(0, k, scan_row, popt);
   } else {
     for (std::size_t i = 0; i < k; ++i) scan_row(i);
   }
-
   std::vector<Partition> result;
   for (std::size_t i = 0; i < k; ++i)
-    if (!dominated[i]) result.push_back(std::move(unique[i]));
+    if (!dominated[i]) result.push_back(std::move(candidates[i]));
   return result;
 }
 
-/// Fused evaluation: one MergeClosureEngine per chunk of pairs, which
-/// prunes as it goes. A closure completes iff the earliest block pair it
-/// unites is its own pair, so the completed closures are pairwise
-/// distinct, each at its value's first occurrence; a pruned pair's closure
-/// repeats or lies strictly below an earlier pair's (see
-/// MergeClosureEngine::run). The chunks' survivors in index order are thus
-/// the classic evaluate-then-dedup list minus some candidates that are not
-/// maximal, and the cover after the maximality filter is bit-identical to
-/// the classic pipeline's at any thread count.
+/// One MergeClosureEngine per chunk of pairs, which prunes as it goes. A
+/// closure completes iff the earliest block pair it unites is its own
+/// pair, so the completed closures are pairwise distinct, each at its
+/// value's first occurrence; a pruned pair's closure repeats or lies
+/// strictly below an earlier pair's (see MergeClosureEngine::run). The
+/// chunks' survivors in index order are thus lower_cover_classic's
+/// deduplicated list minus some candidates that are not maximal, and the
+/// cover after the maximality filter is bit-identical to the classic one
+/// at any thread count.
 std::vector<Partition> fused_candidates(
     const Dfsm& machine, const Partition& p,
     const std::vector<std::pair<State, State>>& pairs,
@@ -522,82 +450,36 @@ std::vector<Partition> fused_candidates(
 
 std::vector<Partition> lower_cover(const Dfsm& machine, const Partition& p,
                                    const LowerCoverOptions& options) {
-  FFSM_EXPECTS(p.size() == machine.size());
-  FFSM_EXPECTS(is_closed(machine, p));
-
-  const std::uint32_t blocks = p.block_count();
-  if (blocks <= 1) return {};  // bottom: nothing below
-
-  // Representative element of each block.
-  std::vector<State> rep(blocks, kInvalidState);
-  for (State s = 0; s < p.size(); ++s)
-    if (rep[p.block_of(s)] == kInvalidState) rep[p.block_of(s)] = s;
-
-  // All unordered block pairs.
-  std::vector<std::pair<State, State>> pairs;
-  pairs.reserve(static_cast<std::size_t>(blocks) * (blocks - 1) / 2);
-  for (std::uint32_t i = 0; i < blocks; ++i)
-    for (std::uint32_t j = i + 1; j < blocks; ++j)
-      pairs.emplace_back(rep[i], rep[j]);
+  const auto pairs = block_pairs(machine, p);
+  if (pairs.empty()) return {};  // bottom: nothing below
 
   obs::Obs* const obs = options.obs;
   const bool timed = obs != nullptr && obs->enabled();
-
-  if (options.fused) {
-    // Already distinct, in first-occurrence order; apply the same
-    // maximality filter as the post-passes, then check closedness on the
-    // few survivors (the classic path checks every closure inside
-    // merge_closure).
-    const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-    std::vector<Partition> unique =
-        fused_candidates(machine, p, pairs, options);
-    if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
-    if (obs != nullptr)
-      obs->count("gen.closures_pruned", pairs.size() - unique.size());
-    const std::size_t k = unique.size();
-    std::vector<char> dominated(k, 0);
-    const auto scan_row = [&](std::size_t i) {
-      for (std::size_t j = 0; j < k; ++j)
-        if (i != j && Partition::less(unique[i], unique[j])) {
-          dominated[i] = 1;
-          return;
-        }
-    };
-    if (options.parallel) {
-      ParallelOptions popt;
-      popt.pool = options.pool;
-      popt.serial_threshold = 16;
-      parallel_for(0, k, scan_row, popt);
-    } else {
-      for (std::size_t i = 0; i < k; ++i) scan_row(i);
-    }
-    std::vector<Partition> result;
-    for (std::size_t i = 0; i < k; ++i)
-      if (!dominated[i]) result.push_back(std::move(unique[i]));
-    for (const Partition& q : result) FFSM_ENSURES(is_closed(machine, q));
-    return result;
-  }
-
-  // Independent merge closures, one per pair.
   const std::uint64_t eval_start = timed ? obs->now_us() : 0;
-  std::vector<Partition> candidates(pairs.size());
-  const auto evaluate = [&](std::size_t idx) {
-    const std::pair<State, State> merge[1] = {pairs[idx]};
-    candidates[idx] = merge_closure(machine, p, merge);
-  };
-  if (options.parallel) {
-    ParallelOptions popt;
-    popt.pool = options.pool;
-    popt.serial_threshold = 16;
-    parallel_for(0, pairs.size(), evaluate, popt);
-  } else {
-    for (std::size_t i = 0; i < pairs.size(); ++i) evaluate(i);
-  }
+  std::vector<Partition> distinct =
+      fused_candidates(machine, p, pairs, options);
   if (timed) obs->record("gen.closure_eval", obs->now_us() - eval_start);
+  if (obs != nullptr)
+    obs->count("gen.closures_pruned", pairs.size() - distinct.size());
 
-  return options.sharded_dedup
-             ? postpass_sharded(std::move(candidates), options)
-             : postpass_serial(std::move(candidates));
+  std::vector<Partition> result =
+      keep_maximal(std::move(distinct), options.parallel, options.pool);
+  // The engine skips merge_closure's closedness check, so run it on the
+  // few survivors.
+  for (const Partition& q : result) FFSM_ENSURES(is_closed(machine, q));
+  return result;
+}
+
+std::vector<Partition> lower_cover_classic(const Dfsm& machine,
+                                           const Partition& p) {
+  std::vector<Partition> distinct;
+  std::unordered_set<Partition, PartitionHash> seen;
+  for (const std::pair<State, State>& pair : block_pairs(machine, p)) {
+    const std::pair<State, State> merge[1] = {pair};
+    Partition closure = merge_closure(machine, p, merge);
+    if (seen.insert(closure).second) distinct.push_back(std::move(closure));
+  }
+  return keep_maximal(std::move(distinct), false, nullptr);
 }
 
 std::uint64_t prefetch_lower_cover(

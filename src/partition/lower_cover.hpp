@@ -3,23 +3,27 @@
 // The lower cover of machine M consists of the *maximal* closed partitions
 // strictly less (coarser) than M. Following Lee–Yannakakis and the paper's
 // construction, every lower-cover element arises as the merge closure of M
-// with one pair of its blocks united; we therefore enumerate all
-// block-pair closures, deduplicate, and keep the maximal ones.
+// with one pair of its blocks united. Two evaluators enumerate the block
+// pairs in the same lexicographic order and return the same cover in the
+// same order (each distinct closure at its first occurrence, then only the
+// maximal ones):
+//
+// - lower_cover(), the one every generation path runs, evaluates the pairs
+//   through MergeClosureEngine. The base partition's union-find is seeded
+//   once and restored per pair, and a pair's closure stops once it unites
+//   an earlier block pair, because it can then only repeat or lie below an
+//   earlier candidate. The closures that finish are already distinct, so
+//   only the maximality filter runs on them. Fixed-size chunks of pairs
+//   fan out across the thread pool; the cover is bit-identical at any
+//   thread count.
+// - lower_cover_classic() is the serial oracle: one merge_closure per pair,
+//   a first-occurrence dedup, then the same maximality filter. The
+//   non-speculative generate_fusion path, enumerate_lattice and
+//   is_minimal_fusion run it, so the checks built on them stay independent
+//   of the pruning rule.
 //
 // Complexity: O(B^2) closures for B blocks, each O(N * |Sigma| * alpha);
-// the closures are independent, so they fan out across the thread pool.
-// The post-pass — dedup plus maximality filter — is itself parallel:
-// candidates are deduplicated by sharding on their content hash (equal
-// partitions hash equally, so duplicates always land in the same shard and
-// shards are independent), survivors are re-ordered by first occurrence,
-// and the O(k^2) maximality scan fans out one row per survivor. Both
-// passes produce bit-identical covers at any thread count, and the
-// pre-refactor serial post-pass is kept behind
-// LowerCoverOptions::sharded_dedup = false as the ablation baseline
-// (bench_ablation_parallel). The fused evaluator (LowerCoverOptions::fused,
-// the speculative descent's) does far less: a pair's closure stops once
-// it unites an earlier block pair, the closures that finish are already
-// distinct, and only the maximality filter runs on them.
+// pruning stops most of them early.
 //
 // A lower cover depends only on (machine, p) — not on which originals or
 // fault graph drove the caller there — so results are memoizable across
@@ -298,37 +302,22 @@ class LowerCoverCache {
 };
 
 struct LowerCoverOptions {
-  /// Evaluate block-pair closures in parallel on this pool (nullptr =
-  /// global pool). Parallelism only kicks in past ParallelOptions'
-  /// serial threshold of pairs.
+  /// Evaluate chunks of block-pair closures, and the maximality filter's
+  /// rows, in parallel on this pool (nullptr = global pool). Covers are
+  /// bit-identical at any thread count.
   ThreadPool* pool = nullptr;
   bool parallel = true;
-  /// Sharded-hash parallel dedup + pool-parallel maximality filter
-  /// (default). false selects the pre-refactor serial unordered_set dedup
-  /// and O(k^2) serial maximality scan — kept as the ablation baseline
-  /// (bench_ablation_parallel's dedup series). Both modes produce
-  /// identical covers in identical order.
-  bool sharded_dedup = true;
-  /// Evaluate pair closures through MergeClosureEngine: the base
-  /// partition's union-find is seeded once and memcpy-restored per pair,
-  /// and a pair's closure stops as soon as it unites an earlier block pair
-  /// (in lexicographic order), because it can then only repeat or lie
-  /// below an earlier candidate. The closures that finish are distinct and
-  /// include every maximal candidate, so no dedup pass runs.
-  /// Covers are bit-identical to the classic path, order included, at any
-  /// thread count; default-off so the classic evaluator stays the oracle.
-  /// When set, sharded_dedup is irrelevant.
-  bool fused = false;
   /// Optional memo shared across calls (and threads). Must only ever see
   /// partitions of one machine.
   LowerCoverCache* cache = nullptr;
   /// Optional observability context (nullptr = uninstrumented). Feeds the
-  /// `gen.lower_cover` span (one full cover computation), the
-  /// `gen.closure_eval` histogram (the candidate-evaluation phase inside
-  /// it), the `gen.closures_pruned` counter (pairs the fused evaluator
-  /// stopped early, added once per cover) and `cache.get` /
-  /// `cache.insert` (memo lookup / publish latency). Never affects
-  /// results.
+  /// `gen.lower_cover` span (one full cover computation in
+  /// lower_cover_cached or prefetch_lower_cover, whichever evaluator), and
+  /// from lower_cover the `gen.closure_eval` histogram (the
+  /// candidate-evaluation phase inside it) and the `gen.closures_pruned`
+  /// counter (pairs whose closure stopped early, added once per cover);
+  /// also `cache.get` / `cache.insert` (memo lookup / publish latency).
+  /// Never affects results.
   obs::Obs* obs = nullptr;
 };
 
@@ -339,14 +328,26 @@ struct LowerCoverOptions {
     const Dfsm& machine, const Partition& p,
     const LowerCoverOptions& options = {});
 
+/// The serial classic evaluator: lower_cover's result, order included,
+/// from one full merge_closure per block pair. The oracle the pruned
+/// evaluator is checked against.
+[[nodiscard]] std::vector<Partition> lower_cover_classic(const Dfsm& machine,
+                                                         const Partition& p);
+
+/// An evaluator in lower_cover's shape, for lower_cover_cached.
+using CoverEvaluator = std::vector<Partition> (*)(const Dfsm&,
+                                                  const Partition&,
+                                                  const LowerCoverOptions&);
+
 /// Cache-aware variant: consults options.cache (when set) before computing
-/// and shares the result without copying the cover. When `from_cache` is
-/// non-null it is set to whether this call was served by the cache — a
-/// per-call signal that stays exact when many threads share one cache
-/// (unlike deltas of the cache's global counters).
+/// with `evaluate` and shares the result without copying the cover. When
+/// `from_cache` is non-null it is set to whether this call was served by
+/// the cache — a per-call signal that stays exact when many threads share
+/// one cache (unlike deltas of the cache's global counters).
 [[nodiscard]] std::shared_ptr<const LowerCoverCache::Cover> lower_cover_cached(
     const Dfsm& machine, const Partition& p,
-    const LowerCoverOptions& options = {}, bool* from_cache = nullptr);
+    const LowerCoverOptions& options = {}, bool* from_cache = nullptr,
+    CoverEvaluator evaluate = lower_cover);
 
 /// Speculative (cancellable) variant for prefetch tasks. Consults the
 /// cache with a speculative lookup (booked by the consumer, if any, through

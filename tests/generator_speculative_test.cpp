@@ -118,7 +118,6 @@ TEST(SpeculativePrefetch, CancelledTaskNeverPublishesAfterClear) {
 
   LowerCoverOptions options;
   options.parallel = false;
-  options.fused = true;
   options.cache = &cache;
 
   CancellationToken token;
@@ -153,7 +152,6 @@ TEST(SpeculativePrefetch, CancelledStragglerComputesButDoesNotPublish) {
 
   LowerCoverOptions options;
   options.parallel = false;
-  options.fused = true;
   options.cache = &cache;
 
   CancellationToken token;
@@ -179,7 +177,6 @@ TEST(SpeculativePrefetch, CancelStressLeavesCacheEmpty) {
 
   LowerCoverOptions options;
   options.parallel = false;
-  options.fused = true;
   options.cache = &cache;
 
   std::vector<TaskHandle> tasks;
@@ -208,7 +205,6 @@ TEST(SpeculativePrefetch, UncancelledPrefetchPublishesAndReportsClosures) {
 
   LowerCoverOptions options;
   options.parallel = false;
-  options.fused = true;
   options.cache = &cache;
 
   CancellationToken token;

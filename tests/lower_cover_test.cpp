@@ -10,7 +10,6 @@
 
 #include "fsm/random_dfsm.hpp"
 #include "partition/closure.hpp"
-#include "partition/lattice.hpp"
 #include "test_support.hpp"
 
 namespace ffsm {
@@ -69,6 +68,8 @@ TEST(LowerCover, NonClosedInputRejected) {
   const CanonicalExample ex;
   EXPECT_THROW((void)lower_cover(ex.top, pt({0, 0, 1, 2})),
                ContractViolation);
+  EXPECT_THROW((void)lower_cover_classic(ex.top, pt({0, 0, 1, 2})),
+               ContractViolation);
 }
 
 TEST(LowerCover, ElementsAreStrictlyBelowAndClosed) {
@@ -105,26 +106,42 @@ TEST(LowerCover, SerialAndParallelAgree) {
   for (const auto& p : a) EXPECT_TRUE(contains(b, p));
 }
 
-// Cross-check against the full lattice on random machines: the lower cover
-// of each node must be exactly the maximal closed partitions strictly below
-// it.
-class LowerCoverVsLattice : public ::testing::TestWithParam<std::uint64_t> {};
+// Every set partition of {0, .., n-1}, one per restricted growth string
+// (a[0] = 0, a[i] <= 1 + max(a[0..i-1])): Bell(n) of them.
+std::vector<Partition> all_set_partitions(std::uint32_t n) {
+  std::vector<Partition> out;
+  std::vector<std::uint32_t> labels(n, 0);
+  const auto extend = [&](const auto& self, std::uint32_t i,
+                          std::uint32_t blocks) -> void {
+    if (i == n) {
+      out.emplace_back(labels);
+      return;
+    }
+    for (std::uint32_t b = 0; b <= blocks; ++b) {
+      labels[i] = b;
+      self(self, i + 1, std::max(blocks, b + 1));
+    }
+  };
+  extend(extend, 1, 1);
+  return out;
+}
 
-TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
-  auto al = Alphabet::create();
-  RandomDfsmSpec spec;
-  spec.states = 6;
-  spec.num_events = 2;
-  spec.seed = GetParam();
-  const Dfsm m = make_random_connected_dfsm(al, "m", spec);
-  const ClosedPartitionLattice lattice = enumerate_lattice(m);
+// Cross-check against the definition, independent of both evaluators:
+// enumerate every set partition of m's 6 states, keep the closed ones, and
+// require each evaluator's lower cover of every closed partition to be
+// exactly the maximal closed partitions strictly below it. Returns the
+// number of closed partitions checked.
+std::size_t expect_covers_match_definition(const Dfsm& m) {
+  const std::vector<Partition> partitions = all_set_partitions(m.size());
+  EXPECT_EQ(partitions.size(), 203u);  // Bell(6)
+  std::vector<Partition> closed;
+  for (const Partition& p : partitions)
+    if (is_closed(m, p)) closed.push_back(p);
 
-  for (const LatticeNode& node : lattice.nodes) {
-    // Reference: maximal strictly-below elements from the full lattice.
+  for (const Partition& node : closed) {
     std::vector<Partition> below;
-    for (const LatticeNode& other : lattice.nodes)
-      if (Partition::less(other.partition, node.partition))
-        below.push_back(other.partition);
+    for (const Partition& other : closed)
+      if (Partition::less(other, node)) below.push_back(other);
     std::vector<Partition> maximal;
     for (const auto& q : below) {
       bool dominated = false;
@@ -136,84 +153,53 @@ TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
       if (!dominated) maximal.push_back(q);
     }
 
-    const auto cover = lower_cover(m, node.partition);
-    EXPECT_EQ(cover.size(), maximal.size())
-        << "node " << node.partition.to_string();
-    for (const auto& q : maximal)
-      EXPECT_TRUE(contains(cover, q)) << q.to_string();
+    for (const auto& [name, cover] :
+         {std::pair{"lower_cover", lower_cover(m, node)},
+          std::pair{"lower_cover_classic", lower_cover_classic(m, node)}}) {
+      EXPECT_EQ(cover.size(), maximal.size())
+          << name << " of " << node.to_string();
+      for (const auto& q : maximal)
+        EXPECT_TRUE(contains(cover, q))
+            << name << " of " << node.to_string() << " misses "
+            << q.to_string();
+    }
   }
+  return closed.size();
+}
+
+class LowerCoverVsLattice : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LowerCoverVsLattice, MatchesLatticeDefinition) {
+  auto al = Alphabet::create();
+  RandomDfsmSpec spec;
+  spec.states = 6;
+  spec.num_events = 2;
+  spec.seed = GetParam();
+  (void)expect_covers_match_definition(
+      make_random_connected_dfsm(al, "m", spec));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LowerCoverVsLattice,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// The sharded-hash parallel dedup + parallel maximality filter must emit
-// exactly the serial post-pass's cover — same elements, same
-// (first-occurrence) order — on any machine and at any thread count,
-// because descent policies like kFirstFound are order-sensitive.
-
-TEST(DedupEquivalence, ShardedMatchesSerialOnCatalogProduct) {
-  const CrossProduct cp = ffsm::testing::counter_pair_product();
-  const Partition identity = Partition::identity(cp.top.size());
-
-  LowerCoverOptions legacy;
-  legacy.sharded_dedup = false;
-  const auto baseline = lower_cover(cp.top, identity, legacy);
-  ASSERT_FALSE(baseline.empty());
-
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    LowerCoverOptions sharded;
-    sharded.pool = &pool;
-    sharded.sharded_dedup = true;
-    EXPECT_EQ(lower_cover(cp.top, identity, sharded), baseline)
-        << "threads=" << threads;
-  }
-
-  // Serial execution of the sharded algorithm is also bit-identical.
-  LowerCoverOptions serial_sharded;
-  serial_sharded.parallel = false;
-  serial_sharded.sharded_dedup = true;
-  EXPECT_EQ(lower_cover(cp.top, identity, serial_sharded), baseline);
-}
-
-class DedupEquivalenceRandom : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(DedupEquivalenceRandom, ShardedMatchesSerialDownARandomLattice) {
+TEST(LowerCoverVsDefinition, StarMachineWithWideCovers) {
+  // Random 6-state machines close only 2-5 partitions, with covers of at
+  // most 2 elements. Here event e_i takes the hub q0 to q_i and every
+  // other state back to q0, so every partition that keeps q0 alone is
+  // closed: Bell(5) + 1 (the bottom) = 53 closed partitions, and the
+  // identity's cover holds all C(5,2) = 10 merges of two spokes.
   auto al = Alphabet::create();
-  RandomDfsmSpec spec;
-  spec.states = 10;
-  spec.num_events = 3;
-  spec.seed = GetParam();
-  const Dfsm m = make_random_connected_dfsm(al, "m", spec);
-
-  ThreadPool pool(4);
-  LowerCoverOptions legacy;
-  legacy.sharded_dedup = false;
-  LowerCoverOptions sharded;
-  sharded.pool = &pool;
-  sharded.sharded_dedup = true;
-
-  // Walk a descent: compare the two post-passes at every node, following
-  // the first cover element (order-sensitive, so this also locks the
-  // ordering contract), plus every sibling's own cover once.
-  Partition current = Partition::identity(m.size());
-  while (true) {
-    const auto baseline = lower_cover(m, current, legacy);
-    EXPECT_EQ(lower_cover(m, current, sharded), baseline)
-        << current.to_string();
-    if (baseline.empty()) break;
-    for (const Partition& sibling : baseline)
-      EXPECT_EQ(lower_cover(m, sibling, sharded),
-                lower_cover(m, sibling, legacy))
-          << sibling.to_string();
-    current = baseline.front();
+  DfsmBuilder builder("star", al);
+  builder.states(6);
+  for (State i = 1; i < 6; ++i) {
+    const EventId e = builder.event("e" + std::to_string(i));
+    builder.transition(0, e, i);
+    for (State s = 1; s < 6; ++s) builder.transition(s, e, 0);
   }
+  const Dfsm star = builder.build();
+  EXPECT_EQ(expect_covers_match_definition(star), 53u);
+  EXPECT_EQ(lower_cover(star, Partition::identity(6)).size(), 10u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DedupEquivalenceRandom,
-                         ::testing::Range<std::uint64_t>(1, 9));
 
 // The fused evaluator (pruned MergeClosureEngine closures) must emit
 // exactly the classic evaluator's cover — same elements, same
@@ -227,7 +213,6 @@ void expect_fused_matches_classic_down_a_descent(const Dfsm& m) {
   std::vector<std::unique_ptr<ThreadPool>> pools;
   for (const std::size_t threads : {0u, 1u, 2u, 8u}) {
     LowerCoverOptions fused;
-    fused.fused = true;
     fused.obs = &obs;
     if (threads == 0) {
       fused.parallel = false;
@@ -237,7 +222,6 @@ void expect_fused_matches_classic_down_a_descent(const Dfsm& m) {
     }
     fused_configs.emplace_back(threads, fused);
   }
-  const LowerCoverOptions classic;  // fused = false: the oracle
   const auto expect_same = [&](const Partition& p,
                                const std::vector<Partition>& baseline) {
     for (const auto& [threads, fused] : fused_configs)
@@ -247,11 +231,11 @@ void expect_fused_matches_classic_down_a_descent(const Dfsm& m) {
 
   Partition current = Partition::identity(m.size());
   while (true) {
-    const auto baseline = lower_cover(m, current, classic);
+    const auto baseline = lower_cover_classic(m, current);
     expect_same(current, baseline);
     if (baseline.empty()) break;
     for (const Partition& sibling : baseline)
-      expect_same(sibling, lower_cover(m, sibling, classic));
+      expect_same(sibling, lower_cover_classic(m, sibling));
     current = baseline.front();
   }
   // A pruning rule that never fires would pass the equality checks too.
